@@ -4,64 +4,13 @@ Four routes to the same quantities, cross-validated against each other:
 exhaustive enumeration (exact, small n), generating-function coefficients
 (exact, large n), dominant-singularity leading terms (approximate, any n),
 and a Mellin/residue limit law with a periodic fluctuation (asymptotic).
+Each route's full interface lives in its module: ``compana.compositions``,
+``compana.series``, ``compana.singularity`` and ``compana.asymptotics``.
 """
 
-from compana.asymptotics import (
-    ALPHA,
-    FluctuationParams,
-    HarmonicSumResult,
-    complex_gamma,
-    expected_sizes_with_multiplicity_approx,
-    first_harmonic_amplitude,
-    fluctuation,
-    fluctuation_extremes,
-    fluctuation_params,
-    harmonic_sum_direct,
-    harmonic_sum_residues,
-    harmonic_sum_result,
-    predict_event_probability,
-)
-from compana.compositions import (
-    DEFAULT_ENUMERATION_CAP,
-    ENUM_CAP_ENV_VAR,
-    EnumerationCapError,
-    EventEstimate,
-    bits_to_composition,
-    distinct_size_count,
-    distinct_size_histogram,
-    enumerate_compositions,
-    enumeration_cap,
-    exact_event_probability,
-    exact_expected_sizes_with_multiplicity,
-    mc_event_probability,
-    multiplicity_profile,
-    sample_composition,
-    worker_rng,
-)
-from compana.series import (
-    RationalFunctionSpec,
-    build_multiplicity_gf,
-    count_with_multiplicity,
-    expected_sizes_with_multiplicity,
-    extract_coefficient,
-    prob_multiplicity,
-    prob_size_present,
-    window_lower_bound,
-    window_tail_bounds,
-)
-from compana.singularity import (
-    DominantRoot,
-    NumericalInstabilityError,
-    SingularityApproximation,
-    count_roots_in_unit_disk,
-    expected_sizes_with_multiplicity_singularity,
-    geometric_bounds,
-    kernel_derivative,
-    kernel_value,
-    log_geometric_bounds,
-    prob_multiplicity_singularity,
-    root_bracket,
-    solve_dominant_root,
-)
+from compana.asymptotics import predict_event_probability
+from compana.compositions import exact_event_probability, mc_event_probability
+from compana.series import prob_multiplicity
+from compana.singularity import prob_multiplicity_singularity
 
 __version__ = "0.1.0"

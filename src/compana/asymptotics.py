@@ -96,6 +96,16 @@ def _gamma_line_argument(m: int, p: int) -> complex:
     return complex(m, 2.0 * math.pi * p / LN2)
 
 
+def _harmonics(total: float, x: float, m: int, p_max: int) -> float:
+    """total + 2 Re sum_{p=1..p_max} e^(-2 pi i p x) Gamma(m + 2 pi i p / log 2),
+    added term by term onto ``total`` so that the residue series keeps its
+    rounding."""
+    for p in range(1, p_max + 1):
+        phase = cmath.exp(-2j * math.pi * p * x)
+        total += 2.0 * (phase * complex_gamma(_gamma_line_argument(m, p))).real
+    return total
+
+
 def _direct_window(n: float, m: int, rel_cutoff: float) -> tuple[int, int, float]:
     """Smallest k-window whose excluded terms all fall below rel_cutoff
     times the peak term; returns (k_lo, k_hi, log of peak term)."""
@@ -117,6 +127,15 @@ def _direct_window(n: float, m: int, rel_cutoff: float) -> tuple[int, int, float
     return k_lo, k_hi, peak
 
 
+def _direct_sum(n: float, m: int, rel_cutoff: float) -> tuple[float, int, int]:
+    n, m = _validate_sum_args(n, m)
+    k_lo, k_hi, peak = _direct_window(n, m, rel_cutoff)
+    log_terms = [-k * m * LN2 - n / 2.0**k for k in range(k_lo, k_hi + 1)]
+    scaled = math.fsum(sorted((math.exp(lt - peak) for lt in log_terms), reverse=True))
+    value = math.exp(m * math.log(n) - math.lgamma(m + 1) + peak + math.log(scaled))
+    return value, k_lo, k_hi
+
+
 def harmonic_sum_direct(n: float, m: int, rel_cutoff: float = _DIRECT_CUTOFF) -> float:
     """n^m/m! * sum_{k>=1} 2^(-k m) exp(-n/2^k) by direct summation.
 
@@ -125,18 +144,7 @@ def harmonic_sum_direct(n: float, m: int, rel_cutoff: float = _DIRECT_CUTOFF) ->
     first.  The scaling happens in log space so n up to 1e9 (and beyond)
     is safe.
     """
-    n, m = _validate_sum_args(n, m)
-    k_lo, k_hi, peak = _direct_window(n, m, rel_cutoff)
-    log_terms = [-k * m * LN2 - n / 2.0**k for k in range(k_lo, k_hi + 1)]
-    scaled = math.fsum(sorted((math.exp(lt - peak) for lt in log_terms), reverse=True))
-    return math.exp(m * math.log(n) - math.lgamma(m + 1) + peak + math.log(scaled))
-
-
-def harmonic_sum_direct_range(n: float, m: int, rel_cutoff: float = _DIRECT_CUTOFF) -> tuple[int, int]:
-    """The k-window the direct summation actually uses (for reporting)."""
-    n, m = _validate_sum_args(n, m)
-    k_lo, k_hi, _ = _direct_window(n, m, rel_cutoff)
-    return k_lo, k_hi
+    return _direct_sum(n, m, rel_cutoff)[0]
 
 
 def _validate_sum_args(n: float, m: int) -> tuple[float, int]:
@@ -162,20 +170,17 @@ def harmonic_sum_residues(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> f
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
     frac = math.log2(n) % 1.0
-    total = float(math.factorial(m - 1))
-    for p in range(1, p_max + 1):
-        phase = cmath.exp(-2j * math.pi * p * frac)
-        total += 2.0 * (phase * complex_gamma(_gamma_line_argument(m, p))).real
+    total = _harmonics(float(math.factorial(m - 1)), frac, m, p_max)
     return total / (math.factorial(m) * LN2)
 
 
 def harmonic_sum_result(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> HarmonicSumResult:
     """Both harmonic-sum routes packaged with their truncation metadata."""
-    k_lo, k_hi = harmonic_sum_direct_range(n, m)
+    direct, k_lo, k_hi = _direct_sum(n, m, _DIRECT_CUTOFF)
     return HarmonicSumResult(
         n=float(n),
         m=m,
-        direct=harmonic_sum_direct(n, m),
+        direct=direct,
         residue=harmonic_sum_residues(n, m, p_max),
         k_lo=k_lo,
         k_hi=k_hi,
@@ -192,34 +197,19 @@ def fluctuation(x: float, m: int = 1, p_max: int = DEFAULT_HARMONICS) -> float:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x = float(x) % 1.0
-    total = 0.0
-    for p in range(1, p_max + 1):
-        phase = cmath.exp(-2j * math.pi * p * x)
-        total += 2.0 * (phase * complex_gamma(_gamma_line_argument(m, p))).real
-    return total / math.factorial(m)
+    return _harmonics(0.0, float(x) % 1.0, m, p_max) / math.factorial(m)
 
 
 def first_harmonic_amplitude(m: int, p: int) -> tuple[float, float]:
-    """(amplitude, phase) of the p-th fluctuation harmonic.
-
-    For m = 1 the amplitude has the closed form (2/m!) (p a / sinh(p a))^(1/2)
-    with a = 2 pi^2 / log 2; other m fall back to the gamma modulus, which is
-    the same quantity by the sine reflection identity when m = 1.
+    """(amplitude, phase) of the p-th fluctuation harmonic: the modulus
+    2 |Gamma(m + 2 pi i p / log 2)| / m! and the argument of that gamma
+    value.  For m = 1 the modulus equals 2 (p a / sinh(p a))^(1/2) with
+    a = 2 pi^2 / log 2, by the sine reflection identity.
     """
     if m < 1 or p < 1:
         raise ValueError("m and p must be >= 1")
     gamma_value = complex_gamma(_gamma_line_argument(m, p))
-    phase = cmath.phase(gamma_value)
-    if m == 1:
-        x = p * ALPHA
-        # sinh overflows near x ~ 1400; rearrange as sqrt(2 x) e^(-x/2).
-        amplitude = 2.0 * math.sqrt(2.0 * x) * math.exp(-0.5 * x) / math.sqrt(
-            -math.expm1(-2.0 * x)
-        )
-    else:
-        amplitude = 2.0 * abs(gamma_value) / math.factorial(m)
-    return amplitude, phase
+    return 2.0 * abs(gamma_value) / math.factorial(m), cmath.phase(gamma_value)
 
 
 def fluctuation_params(m: int = 1, p_max: int = DEFAULT_HARMONICS) -> FluctuationParams:
@@ -252,9 +242,3 @@ def predict_event_probability(n: float, m: int, p_max: int = DEFAULT_HARMONICS) 
         raise ValueError("m must be >= 1")
     frac = math.log2(n) % 1.0
     return (1.0 / m + fluctuation(frac, m, p_max)) / math.log(n)
-
-
-def expected_sizes_with_multiplicity_approx(n: float, m: int) -> float:
-    """Harmonic-sum value of the expected number of part sizes with
-    multiplicity m (alias of the direct summation)."""
-    return harmonic_sum_direct(n, m)

@@ -23,12 +23,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
 from compana import asymptotics, compositions, series, singularity
-from compana.compositions import EnumerationCapError
 from compana.singularity import NumericalInstabilityError
 
 SERIES_MAX_N = 10_000
@@ -37,64 +35,6 @@ DEFAULT_PRECISION = 12
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-COMPARE_COLUMNS = [
-    "n",
-    "m",
-    "exact",
-    "series",
-    "singularity",
-    "prediction",
-    "mc",
-    "mc_stderr",
-    "rel_err_series_exact",
-    "rel_err_pred_mc",
-]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common execution knobs shared by the sampling commands."""
-
-    seed: int = 0
-    trials: int = 100_000
-    workers: int = 1
-    fmt: str = "csv"
-    precision: int = DEFAULT_PRECISION
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.trials < 0:
-            raise ValueError("trials must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-
-
-@dataclass
-class ComparisonRow:
-    """One cross-route comparison line.
-
-    ``exact`` and ``series`` carry the exact expected number of part sizes
-    with multiplicity m (enumeration and coefficient routes, identical where
-    both are feasible); ``singularity`` its dominant-root approximation;
-    ``prediction`` and ``mc`` the multiplicity-event probability by the limit
-    law and by Monte Carlo.
-    """
-
-    n: int
-    m: int
-    k: int | None = None
-    exact_rational: Fraction | None = None
-    exact: float | None = None
-    series: float | None = None
-    singularity: float | None = None
-    prediction: float | None = None
-    mc: float | None = None
-    mc_stderr: float | None = None
-    rel_err_series_exact: float | None = None
-    rel_err_pred_mc: float | None = None
 
 
 def parse_count(text: str) -> int:
@@ -136,6 +76,22 @@ def parse_count_list(text: str) -> list[int]:
     return out
 
 
+def parse_trials(text: str) -> int:
+    """Trial count: a count as parse_count reads it, at least 0."""
+    trials = parse_count(text)
+    if trials < 0:
+        raise argparse.ArgumentTypeError("trials must be >= 0")
+    return trials
+
+
+def parse_workers(text: str) -> int:
+    """Worker-process count, at least 1."""
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError("workers must be >= 1")
+    return workers
+
+
 def _fmt_value(value: Any, precision: int) -> Any:
     if value is None:
         return None
@@ -148,45 +104,30 @@ def _fmt_value(value: Any, precision: int) -> Any:
 
 def emit(
     rows: list[dict[str, Any]],
-    columns: list[str],
-    config: RunConfig,
+    args: argparse.Namespace,
     extra: dict[str, Any] | None = None,
 ) -> None:
-    """Render rows as CSV or JSON with the configured precision."""
-    if config.fmt == "json":
-        payload: dict[str, Any] = {
-            "rows": [
-                {c: _fmt_value(r.get(c), config.precision) for c in columns} for r in rows
-            ]
-        }
+    """Render rows as CSV or JSON with the requested precision.
+
+    Every row carries every column, in order, with None where a route did
+    not run; the header is the first row's keys.
+    """
+    rows = [{c: _fmt_value(v, args.precision) for c, v in r.items()} for r in rows]
+    if args.format == "json":
+        payload: dict[str, Any] = {"rows": rows}
         if extra:
             payload.update(extra)
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [",".join(columns)]
+        lines = [",".join(rows[0])]
         for r in rows:
-            cells = []
-            for c in columns:
-                v = _fmt_value(r.get(c), config.precision)
-                cells.append("" if v is None else str(v))
-            lines.append(",".join(cells))
+            lines.append(",".join("" if v is None else str(v) for v in r.values()))
         text = "\n".join(lines) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 100_000),
-        workers=getattr(args, "workers", 1),
-        fmt=args.format,
-        precision=args.precision,
-        out=args.out,
-    )
 
 
 def _rel_err(value: float | None, reference: float | None) -> float | None:
@@ -208,47 +149,36 @@ def distinct_window(n: int) -> tuple[int, int]:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    n = args.n
-    rows = []
     if args.m is not None:
-        values = [(args.m, compositions.exact_event_probability(n, args.m))]
+        values = {args.m: compositions.exact_event_probability(args.n, args.m)}
     else:
-        values = []
-        for m in range(1, n + 1):
-            p = compositions.exact_event_probability(n, m)
-            if p:
-                values.append((m, p))
-    for m, p in values:
-        rows.append({"m": m, "probability": p, "decimal": float(p)})
-    emit(rows, ["m", "probability", "decimal"], config)
+        values = compositions.exact_event_probabilities(args.n)
+    rows = [{"m": m, "probability": p, "decimal": float(p)} for m, p in values.items()]
+    emit(rows, args)
     return EXIT_OK
 
 
 def cmd_prob(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     n, k, m = args.n, args.k, args.m
-    row: dict[str, Any] = {"n": n, "k": k, "m": m}
-    exact_value: float | None = None
-    if args.route in ("series", "both"):
-        p = series.prob_multiplicity(n, k, m)
-        row["series_rational"] = p
-        row["series"] = float(p)
-        exact_value = float(p)
-    if args.route in ("singularity", "both"):
-        row["singularity"] = singularity.prob_multiplicity_singularity(n, k, m).value
-    if args.route == "both":
-        row["rel_err_singularity_series"] = _rel_err(row.get("singularity"), exact_value)
-    emit(
-        [row],
-        ["n", "k", "m", "series_rational", "series", "singularity", "rel_err_singularity_series"],
-        config,
-    )
+    p = series.prob_multiplicity(n, k, m) if args.route != "singularity" else None
+    exact = None if p is None else float(p)
+    approx = None
+    if args.route != "series":
+        approx = singularity.prob_multiplicity_singularity(n, k, m).value
+    row = {
+        "n": n,
+        "k": k,
+        "m": m,
+        "series_rational": p,
+        "series": exact,
+        "singularity": approx,
+        "rel_err_singularity_series": _rel_err(approx, exact),
+    }
+    emit([row], args)
     return EXIT_OK
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     n, m = args.n, args.m
     frac = math.log2(n) % 1.0
     wobble = asymptotics.fluctuation(frac, m)
@@ -260,16 +190,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
         "frac_log2_n": frac,
         "fluctuation": wobble,
     }
-    emit([row], ["n", "m", "prediction", "scaled_value", "frac_log2_n", "fluctuation"], config)
+    emit([row], args)
     return EXIT_OK
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     n, m = args.n, args.m
-    estimate = compositions.mc_event_probability(
-        n, m, config.trials, config.seed, config.workers
-    )
+    estimate = compositions.mc_event_probability(n, m, args.trials, args.seed, args.workers)
     prediction = asymptotics.predict_event_probability(n, m) if n >= 3 else None
     row = {
         "n": n,
@@ -282,19 +209,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "prediction": prediction,
         "rel_err_pred_mc": _rel_err(prediction, estimate.value),
     }
-    emit(
-        [row],
-        ["n", "m", "trials", "seed", "workers", "mc", "mc_stderr", "prediction", "rel_err_pred_mc"],
-        config,
-    )
+    emit([row], args)
     return EXIT_OK
 
 
 def cmd_distinct(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     n = args.n
     lo, hi = distinct_window(n)
-    hist = compositions.distinct_size_histogram(n, config.trials, config.seed, config.workers)
+    hist = compositions.distinct_size_histogram(n, args.trials, args.seed, args.workers)
     trials = int(hist.sum())
     in_window = int(hist[lo : hi + 1].sum())
     p_window = in_window / trials
@@ -306,8 +228,8 @@ def cmd_distinct(args: argparse.Namespace) -> int:
     row = {
         "n": n,
         "trials": trials,
-        "seed": config.seed,
-        "workers": config.workers,
+        "seed": args.seed,
+        "workers": args.workers,
         "window_lo": lo,
         "window_hi": hi,
         "empirical_window_prob": p_window,
@@ -316,23 +238,10 @@ def cmd_distinct(args: argparse.Namespace) -> int:
         "mean_distinct": mean,
         "mean_distinct_stderr": math.sqrt(var / trials),
     }
-    columns = [
-        "n",
-        "trials",
-        "seed",
-        "workers",
-        "window_lo",
-        "window_hi",
-        "empirical_window_prob",
-        "window_prob_stderr",
-        "exact_lower_bound",
-        "mean_distinct",
-        "mean_distinct_stderr",
-    ]
     extra = None
-    if config.fmt == "json":
+    if args.format == "json":
         extra = {"histogram": {str(d): c for d, c in counts}}
-    emit([row], columns, config, extra=extra)
+    emit([row], args, extra=extra)
     if args.hist_out:
         with open(args.hist_out, "w", encoding="utf-8") as handle:
             handle.write("distinct,count\n")
@@ -342,48 +251,50 @@ def cmd_distinct(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from(args)
+    """Cross-route table.
+
+    ``exact`` and ``series`` carry the exact expected number of part sizes
+    with multiplicity m (enumeration and coefficient routes, identical where
+    both are feasible); ``singularity`` its dominant-root approximation;
+    ``prediction`` and ``mc`` the multiplicity-event probability by the limit
+    law and by Monte Carlo.
+    """
     m = args.m
     cap = compositions.enumeration_cap()
     rows = []
     for n in args.n:
-        row = ComparisonRow(n=n, m=m)
+        exact = series_value = prediction = mc = mc_stderr = None
         if n <= cap:
-            row.exact_rational = compositions.exact_expected_sizes_with_multiplicity(n, m)
-            row.exact = float(row.exact_rational)
+            exact = float(compositions.exact_expected_sizes_with_multiplicity(n, m))
         if n <= SERIES_MAX_N:
-            row.series = float(series.expected_sizes_with_multiplicity(n, m))
-        row.singularity = singularity.expected_sizes_with_multiplicity_singularity(n, m)
+            series_value = float(series.expected_sizes_with_multiplicity(n, m))
+        approx = singularity.expected_sizes_with_multiplicity_singularity(n, m)
         if n >= 3:
-            row.prediction = asymptotics.predict_event_probability(n, m)
-        if config.trials > 0:
+            prediction = asymptotics.predict_event_probability(n, m)
+        if args.trials > 0:
             estimate = compositions.mc_event_probability(
-                n, m, config.trials, config.seed, config.workers
+                n, m, args.trials, args.seed, args.workers
             )
-            row.mc = estimate.value
-            row.mc_stderr = estimate.stderr
-        row.rel_err_series_exact = _rel_err(row.series, row.exact)
-        row.rel_err_pred_mc = _rel_err(row.prediction, row.mc)
+            mc, mc_stderr = estimate.value, estimate.stderr
         rows.append(
             {
-                "n": row.n,
-                "m": row.m,
-                "exact": row.exact,
-                "series": row.series,
-                "singularity": row.singularity,
-                "prediction": row.prediction,
-                "mc": row.mc,
-                "mc_stderr": row.mc_stderr,
-                "rel_err_series_exact": row.rel_err_series_exact,
-                "rel_err_pred_mc": row.rel_err_pred_mc,
+                "n": n,
+                "m": m,
+                "exact": exact,
+                "series": series_value,
+                "singularity": approx,
+                "prediction": prediction,
+                "mc": mc,
+                "mc_stderr": mc_stderr,
+                "rel_err_series_exact": _rel_err(series_value, exact),
+                "rel_err_pred_mc": _rel_err(prediction, mc),
             }
         )
-    emit(rows, COMPARE_COLUMNS, config)
+    emit(rows, args)
     return EXIT_OK
 
 
 def cmd_rho(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     root = singularity.solve_dominant_root(args.k)
     row = {
         "k": root.k,
@@ -393,12 +304,11 @@ def cmd_rho(args: argparse.Namespace) -> int:
         "residual": root.residual,
         "method": root.method,
     }
-    emit([row], ["k", "rho", "bracket_lo", "bracket_hi", "residual", "method"], config)
+    emit([row], args)
     return EXIT_OK
 
 
 def cmd_mellin(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     result = asymptotics.harmonic_sum_result(args.n, args.m, args.p_max)
     row = {
         "n": result.n,
@@ -410,11 +320,7 @@ def cmd_mellin(args: argparse.Namespace) -> int:
         "k_hi": result.k_hi,
         "p_max": result.p_max,
     }
-    emit(
-        [row],
-        ["n", "m", "direct", "residue", "rel_diff", "k_lo", "k_hi", "p_max"],
-        config,
-    )
+    emit([row], args)
     return EXIT_OK
 
 
@@ -427,9 +333,9 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sampling_options(parser: argparse.ArgumentParser, trials_default: int) -> None:
-    parser.add_argument("--trials", type=parse_count, default=trials_default)
+    parser.add_argument("--trials", type=parse_trials, default=trials_default)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=parse_workers, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,12 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact rationals past n ~ 14 300 have more than 4300 decimal digits.
+    # The limit is lifted only once the arguments are parsed, so parse_count
+    # in a fresh process still refuses oversized input; it stays lifted so
+    # that an in-process caller can read the printed rationals back.
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:  # EnumerationCapError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalInstabilityError as exc:

@@ -29,6 +29,12 @@ ENUM_CAP_ENV_VAR = "COMPANA_ENUM_CAP"
 
 _MC_BATCH = 1 << 16
 
+# numpy's hypergeometric draw takes fewer than 10**9 good and 10**9 bad
+# items.  The profile sampler draws with at most n - 1 good items (a profile
+# of all ones takes the exact branch) and at most n - 2 bad ones, so every
+# n up to this bound is safe.
+MC_MAX_N = 10**9
+
 
 class EnumerationCapError(ValueError):
     """Raised when an exhaustive enumeration would exceed the configured cap."""
@@ -132,6 +138,35 @@ def distinct_size_count(parts: Sequence[int]) -> int:
     return len(set(parts))
 
 
+def _profile_census(n: int, cap: int | None) -> Counter:
+    """Multiplicity profiles of the compositions of ``n``, each with the
+    number of compositions that have it.
+
+    One walk over all 2**(n-1) compositions tallies their sorted parts;
+    there are few such partitions (297 at n = 17), so the profiles and every
+    statistic read from them stay off the hot loop.
+    """
+    partitions: Counter = Counter()
+    for parts in enumerate_compositions(n, cap=cap):
+        partitions[tuple(sorted(parts))] += 1
+    census: Counter = Counter()
+    for partition, count in partitions.items():
+        census[tuple(sorted(Counter(partition).values()))] += count
+    return census
+
+
+def _event_probability(census: Counter, n: int, m: int) -> Fraction:
+    pair_counts: Counter = Counter()
+    for multiplicities, count in census.items():
+        hits = multiplicities.count(m)
+        if hits:
+            pair_counts[(hits, len(multiplicities))] += count
+    total = Fraction(0)
+    for (hits, dd), count in sorted(pair_counts.items()):
+        total += Fraction(hits * count, dd)
+    return total / (1 << (n - 1))
+
+
 def exact_event_probability(n: int, m: int, cap: int | None = None) -> Fraction:
     """Exact probability that a uniform part size of a uniform composition
     of ``n`` has multiplicity ``m``.
@@ -141,19 +176,14 @@ def exact_event_probability(n: int, m: int, cap: int | None = None) -> Fraction:
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    _check_cap(n, cap)
-    # Tally (hits, distinct) pairs first: there are O(n^2) distinct pairs,
-    # so the Fraction arithmetic stays off the hot loop.
-    pair_counts: Counter = Counter()
-    for parts in enumerate_compositions(n, cap=cap):
-        profile = Counter(parts)
-        hits = sum(1 for v in profile.values() if v == m)
-        pair_counts[(hits, len(profile))] += 1
-    total = Fraction(0)
-    for (hits, dd), count in sorted(pair_counts.items()):
-        if hits:
-            total += Fraction(hits * count, dd)
-    return total / (1 << (n - 1))
+    return _event_probability(_profile_census(n, cap), n, m)
+
+
+def exact_event_probabilities(n: int, cap: int | None = None) -> dict[int, Fraction]:
+    """exact_event_probability for every m = 1..n at which it is nonzero,
+    in increasing m, from a single walk over the compositions."""
+    census = _profile_census(n, cap)
+    return {m: p for m in range(1, n + 1) if (p := _event_probability(census, n, m))}
 
 
 def exact_expected_sizes_with_multiplicity(n: int, m: int, cap: int | None = None) -> Fraction:
@@ -161,11 +191,8 @@ def exact_expected_sizes_with_multiplicity(n: int, m: int, cap: int | None = Non
     over all compositions of ``n`` by brute force (enumeration route)."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    _check_cap(n, cap)
-    total = 0
-    for parts in enumerate_compositions(n, cap=cap):
-        profile = Counter(parts)
-        total += sum(1 for v in profile.values() if v == m)
+    census = _profile_census(n, cap)
+    total = sum(multiplicities.count(m) * count for multiplicities, count in census.items())
     return Fraction(total, 1 << (n - 1))
 
 
@@ -180,6 +207,18 @@ def sample_composition(n: int, rng: np.random.Generator) -> tuple[int, ...]:
 def worker_rng(seed: int, worker: int) -> np.random.Generator:
     """Independent, reproducible substream for a given (seed, worker) pair."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(worker,)))
+
+
+def _check_sampling_args(n: int, trials: int, workers: int) -> None:
+    if n > MC_MAX_N:
+        raise ValueError(
+            f"n={n} exceeds the Monte Carlo limit of {MC_MAX_N} (numpy's "
+            "hypergeometric draw takes fewer than 10**9 items of each kind)"
+        )
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 def _split_trials(trials: int, workers: int) -> list[int]:
@@ -284,10 +323,7 @@ def mc_event_probability(
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_sampling_args(n, trials, workers)
     tasks = [
         (n, m, t, seed, w) for w, t in enumerate(_split_trials(trials, workers)) if t > 0
     ]
@@ -313,10 +349,7 @@ def distinct_size_histogram(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_sampling_args(n, trials, workers)
     tasks = [
         (n, t, seed, w) for w, t in enumerate(_split_trials(trials, workers)) if t > 0
     ]

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional: plain int gives the same results, slower
     mpz = int
 
 # Above this index the characteristic-polynomial power route wins.
@@ -213,67 +213,47 @@ def _initial_window(spec: RationalFunctionSpec, d: int) -> list:
     return window
 
 
-def extract_coefficient(spec: RationalFunctionSpec, n: int, method: str = "auto") -> int:
+def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
     """Exact coefficient of z^n in the power series of the rational function.
 
-    ``method`` is one of ``auto``, ``recurrence``, ``powmod``; ``auto``
-    switches to the characteristic-polynomial power for large n.
+    Runs the linear recurrence, or from n = 20 000 on (when the numerator
+    degree is below the denominator's) the characteristic-polynomial power.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if method == "recurrence":
-        return _extract_by_recurrence(spec, n)
-    if method == "powmod":
-        return _extract_by_powmod(spec, n)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if n >= _POWMOD_MIN_N and spec.numerator_degree < spec.denominator_degree:
         return _extract_by_powmod(spec, n)
     return _extract_by_recurrence(spec, n)
 
 
 def _dyadic_fraction(numerator: int, exponent: int) -> Fraction:
-    """Fraction numerator / 2**exponent in lowest terms.
-
-    Reduces the power of two by bit scanning before construction; the
-    constructor's generic gcd on million-bit operands costs seconds, so it
-    is skipped where the interpreter still allows that.
-    """
-    if numerator == 0:
-        return Fraction(0)
-    twos = (numerator & -numerator).bit_length() - 1
-    shift = min(twos, exponent)
-    numerator >>= shift
-    exponent -= shift
-    try:
-        return Fraction(numerator, 1 << exponent, _normalize=False)
-    except TypeError:  # pragma: no cover - interpreters without the fast path
-        return Fraction(numerator, 1 << exponent)
+    """Fraction numerator / 2**exponent in lowest terms."""
+    return Fraction(numerator, 1 << exponent)
 
 
-def count_with_multiplicity(n: int, k: int, m: int, method: str = "auto") -> int:
+def count_with_multiplicity(n: int, k: int, m: int) -> int:
     """Number of compositions of n in which size k has multiplicity m."""
     if n < 1 or k < 1 or m < 0:
         raise ValueError("need n, k >= 1 and m >= 0")
     if k * m > n:
         return 0
-    return extract_coefficient(build_multiplicity_gf(k, m), n, method=method)
+    return extract_coefficient(build_multiplicity_gf(k, m), n)
 
 
-def prob_multiplicity(n: int, k: int, m: int, method: str = "auto") -> Fraction:
+def prob_multiplicity(n: int, k: int, m: int) -> Fraction:
     """Exact probability that part size k has multiplicity m in a uniform
     composition of n."""
-    return _dyadic_fraction(count_with_multiplicity(n, k, m, method=method), n - 1)
+    return _dyadic_fraction(count_with_multiplicity(n, k, m), n - 1)
 
 
-def prob_size_present(n: int, k: int, method: str = "auto") -> Fraction:
+def prob_size_present(n: int, k: int) -> Fraction:
     """Exact probability that a uniform composition of n contains a part of
     size k (the complement of multiplicity zero)."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
     if k > n:
         return Fraction(0)
-    absent = count_with_multiplicity(n, k, 0, method=method)
+    absent = count_with_multiplicity(n, k, 0)
     return _dyadic_fraction((1 << (n - 1)) - absent, n - 1)
 
 

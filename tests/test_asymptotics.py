@@ -97,7 +97,8 @@ class TestHarmonicSumDirect:
         assert abs(tight - wide) / tight < 1e-15
 
     def test_window_metadata(self):
-        k_lo, k_hi = asym.harmonic_sum_direct_range(1e6, 1)
+        result = asym.harmonic_sum_result(1e6, 1)
+        k_lo, k_hi = result.k_lo, result.k_hi
         assert 1 <= k_lo < k_hi
         assert k_lo <= round(math.log2(1e6)) <= k_hi
 
@@ -182,10 +183,12 @@ class TestFirstHarmonicAmplitude:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_sinh_form_equals_gamma_modulus(self, p):
-        sinh_form, _ = asym.first_harmonic_amplitude(1, p)
-        theta = 2.0 * math.pi * p / math.log(2.0)
-        gamma_form = 2.0 * abs(asym.complex_gamma(complex(1.0, theta)))
-        assert sinh_form == pytest.approx(gamma_form, rel=1e-10)
+        # |Gamma(1 + i t)|^2 = pi t / sinh(pi t); with t = 2 pi p / log 2 the
+        # amplitude is 2 (x / sinh x)^(1/2) at x = p * ALPHA.
+        x = p * asym.ALPHA
+        sinh_form = 2.0 * math.sqrt(2.0 * x) * math.exp(-0.5 * x) / math.sqrt(-math.expm1(-2.0 * x))
+        amplitude, _ = asym.first_harmonic_amplitude(1, p)
+        assert amplitude == pytest.approx(sinh_form, rel=1e-12)
 
     def test_phases_match_gamma_argument(self):
         for m, p in [(1, 1), (2, 1), (3, 2)]:
@@ -224,11 +227,6 @@ class TestPrediction:
             asym.predict_event_probability(2.0**t, 1) * math.log(2.0**t) for t in (10, 20, 26)
         }
         assert max(scaled) - min(scaled) < 1e-13
-
-    def test_expected_sizes_alias(self):
-        assert asym.expected_sizes_with_multiplicity_approx(5000.0, 2) == (
-            asym.harmonic_sum_direct(5000.0, 2)
-        )
 
     def test_domain(self):
         with pytest.raises(ValueError):

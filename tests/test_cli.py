@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from compana import cli
+from compana import cli, series
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +94,13 @@ class TestProbCommand:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[-1]) <= 0.01
 
+    def test_exact_rational_past_int_str_digit_limit(self, capsys):
+        # The reduced denominator 2^14999 has about 4515 decimal digits.
+        code, out, _ = run_cli(capsys, "prob", "--n", "15000", "--k", "1", "--m", "0")
+        assert code == 0
+        rational = Fraction(out.strip().splitlines()[1].split(",")[3])
+        assert rational * 2**14999 == series.count_with_multiplicity(15000, 1, 0)
+
 
 class TestPredictCommand:
     def test_power_of_two(self, capsys):
@@ -135,6 +143,23 @@ class TestSampleCommand:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_n_past_monte_carlo_bound_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--n", "3e9", "--m", "1", "--trials", "100")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the Monte Carlo limit of 1000000000" in err
+
+    def test_n_at_monte_carlo_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--n", "1e9", "--m", "1", "--trials", "200")
+        assert code == 0
+        assert out.splitlines()[1].startswith("1000000000,1,200,")
+
+    @pytest.mark.parametrize("flag,value", [("--trials", "-1"), ("--workers", "0")])
+    def test_bad_knobs_rejected_while_parsing(self, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sample", "--n", "100", "--m", "1", flag, value])
+        assert excinfo.value.code == 2
 
 
 class TestDistinctCommand:
@@ -275,3 +300,14 @@ class TestOutputPlumbing:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+def test_package_exports_the_readme_library_names():
+    import compana
+
+    exported = {name for name, value in vars(compana).items() if callable(value)}
+    assert exported == {
+        "exact_event_probability", "prob_multiplicity", "mc_event_probability",
+        "prob_multiplicity_singularity", "predict_event_probability",
+    }
+    assert compana.__version__ == "0.1.0"

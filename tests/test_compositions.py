@@ -12,6 +12,7 @@ from conftest import (
     COMPOSITIONS_OF_FIVE,
     brute_force_compositions,
     event_probability_by_enumeration,
+    multiplicity_census,
 )
 
 
@@ -126,6 +127,21 @@ class TestExactEventProbability:
         assert comps.exact_expected_sizes_with_multiplicity(5, 1) == Fraction(19, 16)
         assert comps.exact_expected_sizes_with_multiplicity(5, 5) == Fraction(1, 16)
 
+    @pytest.mark.parametrize("n,m", [(6, 1), (8, 2), (9, 3)])
+    def test_expected_sizes_against_census(self, n, m):
+        census = multiplicity_census(n)
+        expected = Fraction(sum(census.get((k, m), 0) for k in range(1, n + 1)), 1 << (n - 1))
+        assert comps.exact_expected_sizes_with_multiplicity(n, m) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_every_m_from_one_walk(self, n):
+        each = {m: comps.exact_event_probability(n, m) for m in range(1, n + 1)}
+        assert comps.exact_event_probabilities(n) == {m: p for m, p in each.items() if p}
+
+    def test_every_m_respects_cap(self):
+        with pytest.raises(comps.EnumerationCapError):
+            comps.exact_event_probabilities(8, cap=7)
+
 
 class TestSampling:
     def test_n1_always_trivial(self):
@@ -229,6 +245,15 @@ class TestMonteCarloEstimator:
             comps.mc_event_probability(5, 1, trials=0, seed=1)
         with pytest.raises(ValueError):
             comps.mc_event_probability(5, 1, trials=10, seed=1, workers=0)
+
+    def test_n_bound(self):
+        for sampler in (
+            lambda n: comps.mc_event_probability(n, 1, trials=10, seed=1),
+            lambda n: comps.distinct_size_histogram(n, trials=10, seed=1),
+        ):
+            with pytest.raises(ValueError, match=str(comps.MC_MAX_N)):
+                sampler(comps.MC_MAX_N + 1)
+            assert sampler(comps.MC_MAX_N) is not None
 
 
 @settings(max_examples=40, deadline=None)

@@ -92,22 +92,13 @@ class TestExtractCoefficient:
     )
     def test_powmod_matches_recurrence(self, n, k, m):
         spec = series.build_multiplicity_gf(k, m)
-        assert series.extract_coefficient(spec, n, method="recurrence") == (
-            series.extract_coefficient(spec, n, method="powmod")
-        )
+        assert series._extract_by_recurrence(spec, n) == series._extract_by_powmod(spec, n)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 9), st.integers(0, 3), st.integers(0, 400))
     def test_powmod_matches_recurrence_random(self, k, m, n):
         spec = series.build_multiplicity_gf(k, m)
-        assert series.extract_coefficient(spec, n, method="recurrence") == (
-            series.extract_coefficient(spec, n, method="powmod")
-        )
-
-    def test_unknown_method(self):
-        spec = series.build_multiplicity_gf(1, 0)
-        with pytest.raises(ValueError):
-            series.extract_coefficient(spec, 5, method="nonsense")
+        assert series._extract_by_recurrence(spec, n) == series._extract_by_powmod(spec, n)
 
 
 class TestProbabilities:
