@@ -62,6 +62,11 @@ INVOCATIONS: list[tuple[str, ...]] = [
      "--hist-out", "{tmp}/hist.csv"),
     ("distinct", "--n", "12", "--trials", "1000", "--seed", "5", "--precision", "4",
      "--out", "{tmp}/distinct.csv", "--hist-out", "{tmp}/distinct-hist.csv"),
+    # distinct past n = 512, where the window terms are no longer all exact.
+    ("distinct", "--n", "1000", "--trials", "2000", "--seed", "4", "--precision", "17"),
+    ("distinct", "--n", "5000", "--trials", "1000", "--seed", "6", "--precision", "17",
+     "--format", "json"),
+    ("distinct", "--n", "40000", "--trials", "500", "--seed", "8", "--precision", "17"),
     # compare: every route, with and without Monte Carlo.
     ("compare", "--n", "10,100,400", "--m", "1"),
     ("compare", "--n", "12,50", "--m", "2", "--trials", "1000", "--seed", "9", "--format", "json"),
