@@ -20,6 +20,7 @@ Every sampling command is deterministic for a fixed (seed, workers) pair.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,11 +37,20 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# Python's default limit on int-from-decimal conversion (3.10.7 and later);
+# main lifts the process limit, parse_count keeps to this one.
+_MAX_COUNT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+
 
 def parse_count(text: str) -> int:
     """Positive integer; scientific (1e6, 2.5e3) and power (10^6) forms
-    accepted."""
+    accepted.  Literals with more digits than Python's default int-to-str
+    limit are refused whatever limit the process runs under."""
     text = text.strip()
+    if sum(ch.isdigit() for ch in text) > _MAX_COUNT_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"count has more than {_MAX_COUNT_DIGITS} digits"
+        )
     try:
         return int(text)
     except ValueError:
@@ -338,7 +348,9 @@ def _add_sampling_options(parser: argparse.ArgumentParser, trials_default: int) 
     parser.add_argument("--workers", type=parse_workers, default=1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="compana",
         description="Multiplicity statistics of uniform random integer compositions.",
@@ -405,9 +417,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Exact rationals past n ~ 14 300 have more than 4300 decimal digits.
-    # The limit is lifted only once the arguments are parsed, so parse_count
-    # in a fresh process still refuses oversized input; it stays lifted so
-    # that an in-process caller can read the printed rationals back.
+    # The limit stays lifted so that an in-process caller can read the
+    # printed rationals back; parse_count applies the default limit itself.
     if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
         sys.set_int_max_str_digits(0)
     try:

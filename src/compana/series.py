@@ -7,7 +7,9 @@ in the rational function
     z^(k*m) * (1 - z)^(m+1) / (1 - 2z + z^k * (1 - z))^(m+1).
 
 Dividing by ``2**(n-1)`` gives the exact occurrence probability.  Everything
-here is exact integer/rational arithmetic; floats appear only in callers.
+here is integer/rational arithmetic; floats appear only in callers.  The
+window bounds past n = 512 carry certified fixed-point intervals instead of
+n-bit coefficients, and stay rigorous bounds.
 
 Coefficients are produced by the linear recurrence induced by the denominator
 (a ring-buffer window of deg(denominator) big integers), or, for very large
@@ -30,11 +32,12 @@ except ImportError:  # gmpy2 is optional: plain int gives the same results, slow
 # Above this index the characteristic-polynomial power route wins.
 _POWMOD_MIN_N = 20_000
 
-# window_tail_bounds defaults: below this n every term of the upper tail is
-# computed exactly; above it, this many leading tail terms are exact and the
-# rest is replaced by the closed-form expected-occurrence majorant.
-_TAIL_EXACT_N_LIMIT = 512
-_TAIL_EXACT_TERMS = 12
+# Window bounds: up to this n every term is exact; above it each term is a
+# certified interval at _WINDOW_BITS fractional bits, and the upper tail past
+# high + _WINDOW_TAIL_TERMS is replaced by a closed-form majorant.
+_WINDOW_EXACT_MAX_N = 512
+_WINDOW_BITS = 160
+_WINDOW_TAIL_TERMS = 12
 
 
 @dataclass(frozen=True)
@@ -268,76 +271,165 @@ def expected_sizes_with_multiplicity(n: int, m: int) -> Fraction:
     return _dyadic_fraction(total, n - 1)
 
 
-def _presence_tail_majorant_scaled(n: int, start: int) -> int:
-    """Numerator against 2**(n+1) of an exact upper bound for
-    sum_{j=start..n} P(size j present), from P(present) <= E[number of
-    parts equal j] = (n-j+3) * 2^(-(j+1)) for j < n, exactly 2^(-(n-1))
-    for j = n."""
+def _presence_tail_majorant_scaled(n: int, start: int, exponent: int) -> int:
+    """Numerator against 2**exponent, rounded up, of an upper bound for
+    sum_{j=start..n} P(size j present).
+
+    P(present) <= E[number of parts equal j] = (n-j+3) * 2^(-(j+1)) for
+    j < n, and exactly 2^(-(n-1)) for j = n; these sum to the closed form
+    (n - start + 2) / 2^start.  Beyond j > n/2 at most one such part fits,
+    so there the bound equals the tail itself.
+    """
     if start > n:
         return 0
-    if start == n:
-        return 4
-    r_max = n - start  # r = n - j runs 1..r_max over j = start..n-1
-    # sum_{r=1..R} (r+3) 2^r = (R+2) 2^(R+1) - 4
-    return (r_max + 2) * (1 << (r_max + 1)) - 4 + 4
+    scaled = n - start + 2
+    if exponent >= start:
+        return scaled << (exponent - start)
+    return -((-scaled) >> (start - exponent))
 
 
-def _window_tail_numerators(
-    n: int, low: int, high: int, exact_tail_terms: int | None
-) -> tuple[int, int]:
-    """Window-miss bound numerators against the common denominator 2**(n+1)."""
+# Certified window terms (n > _WINDOW_EXACT_MAX_N) are interval vectors: two
+# integer lists mid, rad, with rad >= 0, standing for every real vector A
+# whose entries satisfy |A_i * 2^s - mid_i| <= rad_i at a fixed scale 2^s.
+# Each helper below returns an interval vector that contains the exact
+# result of its operation applied to every member of its input, so the
+# invariant carries from x^0 = [1 +- 0] through the whole power: products
+# are exact integer convolutions of the midpoints with a radius from the
+# triangle inequality, and each inexact step rounds its midpoint down and
+# widens its radius by the one unit it may have lost.
+
+
+def _interval_reduce(mid: list, rad: list, den_nz: list[tuple[int, int]], d: int):
+    """Interval vector reduced, at its own scale, modulo the characteristic
+    polynomial scaled by 2^-i, x^d + sum_j den_j 2^-j x^(d-j), whose
+    coefficients are exact dyadics."""
+    for deg in range(len(mid) - 1, d - 1, -1):
+        c, r = mid[deg], rad[deg]
+        if not (c or r):
+            continue
+        for j, dj in den_nz:
+            # x_deg in [c - r, c + r] moves -x_deg * dj / 2^j to deg - j.
+            # With t = c * dj, floor(t / 2^j) lies within one unit below
+            # t / 2^j, and |x_deg * dj - t| / 2^j <= ceil(r |dj| / 2^j).
+            t = c * dj
+            mid[deg - j] -= t >> j
+            rad[deg - j] += -((-r * abs(dj)) >> j) + (1 if t & ((1 << j) - 1) else 0)
+    return mid[:d], rad[:d]
+
+
+def _interval_square_mod(
+    mid: list, rad: list, den_nz: list[tuple[int, int]], d: int, bits: int
+):
+    """Square of an interval vector at scale 2^bits modulo the scaled
+    characteristic polynomial, back at scale 2^bits."""
+    size = 2 * d - 1
+    sq = [0] * size
+    for i, a in enumerate(mid):
+        if a:
+            sq[2 * i] += a * a
+            a2 = a << 1
+            for j in range(i + 1, d):
+                b = mid[j]
+                if b:
+                    sq[i + j] += a2 * b
+    # |x_i x_j - m_i m_j| <= |m_i| r_j + r_i |m_j| + r_i r_j; summed over the
+    # ordered pairs with i + j = k this is sum (2|m_i| + r_i) r_j.
+    err = [0] * size
+    widened = [2 * abs(a) + r for a, r in zip(mid, rad)]
+    for j, r in enumerate(rad):
+        if r:
+            for i, w in enumerate(widened):
+                err[i + j] += w * r
+    sq, err = _interval_reduce(sq, err, den_nz, d)
+    # Back from scale 2^(2 bits): floor loses less than one unit.
+    return [v >> bits for v in sq], [-((-e) >> bits) + 1 for e in err]
+
+
+def _absent_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
+    """Integers lo <= 2^exponent * P(size j absent) <= hi for n > j.
+
+    P(size j absent) = count(n, j, 0) / 2^(n-1) = 2 b_n where b_i =
+    c_i / 2^i obeys the m = 0 recurrence scaled by 2^-i.  x^n modulo that
+    recurrence's characteristic polynomial is raised by square-and-multiply
+    in _WINDOW_BITS-bit interval vectors, then contracted against the exact
+    initial window c_0..c_{d-1}; exponent must be at least
+    _WINDOW_BITS + j.
+    """
+    spec = build_multiplicity_gf(j, 0)
+    d = spec.denominator_degree
+    initial = _initial_window(spec, d)
+    den_nz = [(i, c) for i, c in enumerate(spec.denominator) if i and c]
+    bits = _WINDOW_BITS
+    mid = [1 << bits] + [0] * (d - 1)
+    rad = [0] * d
+    for bit in bin(n)[2:]:
+        mid, rad = _interval_square_mod(mid, rad, den_nz, d, bits)
+        if bit == "1":  # times x: a shift, then one reduction
+            mid, rad = _interval_reduce([0, *mid], [0, *rad], den_nz, d)
+    # 2 b_n = sum_t A_t c_t 2^(1-t), here at scale 2^(bits + d - 1).
+    center = sum(int(c) * m << (d - t) for t, (m, c) in enumerate(zip(mid, initial)))
+    spread = sum(abs(int(c)) * r << (d - t) for t, (r, c) in enumerate(zip(rad, initial)))
+    shift = exponent - (bits + d - 1)
+    lo = max(0, (center - spread) << shift)
+    hi = min(1 << exponent, (center + spread) << shift)
+    return lo, hi
+
+
+def _window_term_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
+    """Integers lo <= 2^exponent * P(size j absent) <= hi.
+
+    The certified term costs about j^2 log n fixed-size products, the exact
+    coefficient n recurrence steps on n-bit integers: past j^2 > n the exact
+    one is cheaper, and it is rounded outward.
+    """
+    if j * j <= n:
+        return _absent_interval(n, j, exponent)
+    scaled = count_with_multiplicity(n, j, 0) << exponent
+    lo = scaled >> (n - 1)
+    return lo, lo + (1 if scaled & ((1 << (n - 1)) - 1) else 0)
+
+
+def _window_tail_numerators(n: int, low: int, high: int) -> tuple[int, int, int]:
+    """Window-miss bound numerators (below, above) against 2**exponent,
+    returned with that exponent."""
     if not (1 <= low <= high <= n):
         raise ValueError("need 1 <= low <= high <= n")
-    half = 1 << (n - 1)
-    below = 0
-    for j in range(1, low + 1):
-        below += count_with_multiplicity(n, j, 0)
-    below *= 4
-    if high >= n:
-        return below, 0
-    if exact_tail_terms is None:
-        exact_tail_terms = n if n <= _TAIL_EXACT_N_LIMIT else _TAIL_EXACT_TERMS
-    exact_up_to = min(n, high + max(0, exact_tail_terms))
-    above = 0
-    for j in range(high + 1, exact_up_to + 1):
-        above += half - count_with_multiplicity(n, j, 0)
-    above *= 4
-    above += _presence_tail_majorant_scaled(n, exact_up_to + 1)
-    return below, above
+    if n <= _WINDOW_EXACT_MAX_N:
+        half = 1 << (n - 1)
+        below = sum(count_with_multiplicity(n, j, 0) for j in range(1, low + 1))
+        above = sum(half - count_with_multiplicity(n, j, 0) for j in range(high + 1, n + 1))
+        return below, above, n - 1
+    top = min(n, high + _WINDOW_TAIL_TERMS)
+    exponent = _WINDOW_BITS + max(low, top)
+    one = 1 << exponent
+    below = sum(_window_term_interval(n, j, exponent)[1] for j in range(1, low + 1))
+    above = sum(one - _window_term_interval(n, j, exponent)[0] for j in range(high + 1, top + 1))
+    above += _presence_tail_majorant_scaled(n, top + 1, exponent)
+    return below, above, exponent
 
 
-def window_tail_bounds(
-    n: int,
-    low: int,
-    high: int,
-    exact_tail_terms: int | None = None,
-) -> tuple[Fraction, Fraction]:
+def window_tail_bounds(n: int, low: int, high: int) -> tuple[Fraction, Fraction]:
     """Window-miss bounds for the number of distinct part sizes.
 
-    Returns exact rationals ``(below, above)`` with
-    ``below = sum_{j<=low} (1 - P(size j present))`` and ``above`` an exact
-    upper bound for ``sum_{j>high, j<=n} P(size j present)``; the
-    probability that the distinct-size count lies in [low, high] is at least
+    Returns rationals ``(below, above)`` with ``below`` an upper bound for
+    ``sum_{j<=low} (1 - P(size j present))`` and ``above`` an upper bound for
+    ``sum_{j>high, j<=n} P(size j present)``; the probability that the
+    distinct-size count lies in [low, high] is at least
     ``1 - below - above``.
 
-    The first sum is always computed term-exactly.  For the second, every
-    term is exact when ``n <= 512``; for larger n the first
-    ``exact_tail_terms`` (default 12) terms are exact and the remainder is
-    replaced by its closed-form expected-occurrence majorant, which keeps the
-    bound valid while staying within 2^-(high + exact_tail_terms) * O(n) of
-    the true sum.  Pass ``exact_tail_terms=n`` to force full exactness.
+    For ``n <= 512`` both sums are exact.  For larger n each term is a
+    certified interval (a 160-bit fixed-point power with outward rounding,
+    narrower than 2^-120 up to n = 10^9) whose unfavourable end is taken,
+    and only the first 12 terms of the upper tail are summed; the remainder
+    is replaced by its closed-form expected-occurrence majorant, which stays
+    within 2^-(high + 12) * O(n) of the true sum.
     """
-    below, above = _window_tail_numerators(n, low, high, exact_tail_terms)
-    return _dyadic_fraction(below, n + 1), _dyadic_fraction(above, n + 1)
+    below, above, exponent = _window_tail_numerators(n, low, high)
+    return _dyadic_fraction(below, exponent), _dyadic_fraction(above, exponent)
 
 
-def window_lower_bound(
-    n: int,
-    low: int,
-    high: int,
-    exact_tail_terms: int | None = None,
-) -> Fraction:
-    """Exact lower bound for P(low <= distinct sizes <= high), i.e.
+def window_lower_bound(n: int, low: int, high: int) -> Fraction:
+    """Rigorous lower bound for P(low <= distinct sizes <= high), i.e.
     1 minus both window-miss bounds, assembled in integer arithmetic."""
-    below, above = _window_tail_numerators(n, low, high, exact_tail_terms)
-    return _dyadic_fraction((1 << (n + 1)) - below - above, n + 1)
+    below, above, exponent = _window_tail_numerators(n, low, high)
+    return _dyadic_fraction((1 << exponent) - below - above, exponent)

@@ -1,4 +1,8 @@
+import argparse
+import contextlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +25,32 @@ class TestParsing:
     def test_rejects_non_integers(self):
         with pytest.raises(Exception):
             cli.parse_count("2.5")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="no int-to-str digit limit before Python 3.10.7",
+    )
+    def test_digit_limit_does_not_follow_the_process(self, capsys):
+        # main lifts the process's int-to-str limit; parse_count keeps
+        # refusing what a fresh process refuses, and accepts what it accepts.
+        limit = cli._MAX_COUNT_DIGITS
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(limit)
+            assert cli.parse_count("1" * limit) == int("1" * limit)
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli.parse_count("1" * (limit + 1))
+            assert cli.main(["rho", "--k", "3"]) == 0
+            capsys.readouterr()
+            assert sys.get_int_max_str_digits() == 0
+            assert cli.parse_count("1" * limit) == int("1" * limit)
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli.parse_count("1" * (limit + 1))
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["rho", "--k", "1" * (limit + 1)])
+            assert excinfo.value.code == 2
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_count_list(self):
         assert cli.parse_count_list("10,100,1000") == [10, 100, 1000]
@@ -188,6 +218,15 @@ class TestDistinctCommand:
         lo, hi = int(record["window_lo"]), int(record["window_hi"])
         assert lo <= float(record["mean_distinct"]) <= hi
 
+    def test_window_bound_at_a_billion(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "distinct", "--n", "1e9", "--trials", "1000", "--seed", "1"
+        )
+        assert code == 0
+        header, row = out.strip().splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert 0.9 < float(record["exact_lower_bound"]) < 1
+
     def test_histogram_json_and_file(self, capsys, tmp_path):
         hist_file = tmp_path / "hist.csv"
         code, out, _ = run_cli(
@@ -295,6 +334,34 @@ class TestOutputPlumbing:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["exact"])
         assert excinfo.value.code == 2
+
+    def test_shared_parser_matches_fresh_parsers(self, monkeypatch):
+        argvs = [
+            ["rho", "--k", "3"],
+            ["predict", "--n", "1e6", "--m", "2", "--format", "json"],
+            ["sample", "--n", "100", "--m", "1", "--trials", "-1"],
+            ["mellin", "--n", "1e3", "--m", "1", "--precision", "4"],
+            ["exact"],
+        ]
+
+        def run_all():
+            results = []
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                results.append((code, out.getvalue(), err.getvalue()))
+            return results
+
+        shared = run_all()
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = run_all()
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2]
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -151,17 +151,30 @@ class TestWindowTailBounds:
 
     def test_matches_termwise_sums_when_exact(self):
         n, lo, hi = 60, 3, 8
-        below, above = series.window_tail_bounds(n, lo, hi, exact_tail_terms=n)
+        below, above = series.window_tail_bounds(n, lo, hi)
         assert below == sum(1 - series.prob_size_present(n, j) for j in range(1, lo + 1))
         assert above == sum(series.prob_size_present(n, j) for j in range(hi + 1, n + 1))
 
     def test_majorant_is_upper_bound(self):
-        n, lo, hi = 200, 4, 9
-        exact = series.window_tail_bounds(n, lo, hi, exact_tail_terms=n)
-        hybrid = series.window_tail_bounds(n, lo, hi, exact_tail_terms=3)
-        assert hybrid[0] == exact[0]
-        assert hybrid[1] >= exact[1]
-        assert float(hybrid[1] - exact[1]) < 1e-2
+        n = 200
+        for start in (2, 8, 13, 40, 100, 199, 200):
+            tail = sum(series.prob_size_present(n, j) for j in range(start, n + 1))
+            for exponent in (n + 1, 60):
+                majorant = Fraction(
+                    series._presence_tail_majorant_scaled(n, start, exponent), 1 << exponent
+                )
+                assert majorant >= tail
+                assert majorant - tail < Fraction(n, 1 << start) + Fraction(1, 1 << exponent)
+        assert series._presence_tail_majorant_scaled(n, n + 1, 60) == 0
+
+    @pytest.mark.parametrize("n", [3, 10, 57, 200])
+    def test_majorant_equals_tail_past_half(self, n):
+        # At most one part of size j > n/2 fits, so P(present) is its
+        # expected count and the majorant is the tail itself.
+        for start in range(n // 2 + 1, n + 1):
+            tail = sum(series.prob_size_present(n, j) for j in range(start, n + 1))
+            majorant = series._presence_tail_majorant_scaled(n, start, n)
+            assert Fraction(majorant, 1 << n) == tail
 
     def test_lower_bound_consistency(self):
         n, lo, hi = 120, 3, 10
@@ -191,9 +204,63 @@ class TestWindowTailBounds:
         n = 300
         lo = math.floor(math.log2(n)) - math.ceil(math.log(math.log(n)))
         hi = math.floor(math.log2(n)) + math.ceil(math.log(math.log(n)))
-        bound = float(series.window_lower_bound(n, lo, hi, exact_tail_terms=n))
+        bound = float(series.window_lower_bound(n, lo, hi))
         trials = 20_000
         hist = comps.distinct_size_histogram(n, trials, seed=17)
         p_hat = hist[lo : hi + 1].sum() / trials
         stderr = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials)
         assert p_hat >= bound - 5 * stderr
+
+
+def exact_route_window_bound(n, low, high):
+    """The window bound from exact coefficients: the same term set as
+    window_lower_bound past n = 512 (high + 12 upper terms, then the exact
+    majorant of the rest)."""
+    top = min(n, high + 12)
+    absent = [Fraction(series.count_with_multiplicity(n, j, 0), 1 << (n - 1))
+              for j in range(1, max(low, top) + 1)]
+    below = sum(absent[:low])
+    above = sum(1 - absent[j - 1] for j in range(high + 1, top + 1))
+    if top < n:
+        above += Fraction(n - top + 1, 1 << (top + 1))
+    return 1 - below - above
+
+
+class TestCertifiedWindow:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(513, 6000), st.integers(1, 40))
+    def test_interval_brackets_exact_term(self, n, j):
+        exponent = series._WINDOW_BITS + 40
+        lo, hi = series._absent_interval(n, j, exponent)
+        exact = Fraction(series.count_with_multiplicity(n, j, 0), 1 << (n - 1))
+        assert Fraction(lo, 1 << exponent) <= exact <= Fraction(hi, 1 << exponent)
+        assert Fraction(hi - lo, 1 << exponent) < Fraction(1, 1 << 100)
+
+    @pytest.mark.parametrize("n", [513, 1000, 4097, 9000])
+    def test_bound_is_below_exact_route(self, n):
+        from compana import cli
+
+        low, high = cli.distinct_window(n)
+        bound = series.window_lower_bound(n, low, high)
+        exact = exact_route_window_bound(n, low, high)
+        assert bound <= exact
+        assert exact - bound < Fraction(1, 1 << 100)
+        assert bound.denominator <= 1 << (series._WINDOW_BITS + 64)
+        assert float(bound) == float(exact)
+
+    def test_exact_terms_past_square_root(self):
+        # j^2 > n takes the exact coefficient, rounded outward.
+        n, exponent = 600, 200
+        for j in (25, 300, 599, 600):
+            lo, hi = series._window_term_interval(n, j, exponent)
+            exact = Fraction(series.count_with_multiplicity(n, j, 0), 1 << (n - 1))
+            assert Fraction(lo, 1 << exponent) <= exact <= Fraction(hi, 1 << exponent)
+            assert hi - lo <= 1
+
+    def test_full_window_past_512(self):
+        n = 700
+        low, high = 3, 690
+        bound = series.window_lower_bound(n, low, high)
+        exact = exact_route_window_bound(n, low, high)
+        assert bound <= exact
+        assert exact - bound < Fraction(1, 1 << 100)
