@@ -385,8 +385,7 @@ def _window_term_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
     if j * j <= n:
         return _absent_interval(n, j, exponent)
     scaled = count_with_multiplicity(n, j, 0) << exponent
-    lo = scaled >> (n - 1)
-    return lo, lo + (1 if scaled & ((1 << (n - 1)) - 1) else 0)
+    return scaled >> (n - 1), -((-scaled) >> (n - 1))
 
 
 def _window_tail_numerators(n: int, low: int, high: int) -> tuple[int, int, int]:
