@@ -248,14 +248,15 @@ class TestCertifiedWindow:
         assert bound.denominator <= 1 << (series._WINDOW_BITS + 64)
         assert float(bound) == float(exact)
 
-    def test_exact_terms_past_square_root(self):
-        # j^2 > n takes the exact coefficient, rounded outward.
-        n, exponent = 600, 200
-        for j in (25, 300, 599, 600):
+    def test_exact_terms_past_crossover(self):
+        # 100 j > n takes the exact coefficient, rounded outward; 100 j <= n
+        # the certified interval, wider than one unit at this scale.
+        n, exponent = 1000, 200
+        for j in (10, 11, 300, 999, 1000):
             lo, hi = series._window_term_interval(n, j, exponent)
             exact = Fraction(series.count_with_multiplicity(n, j, 0), 1 << (n - 1))
             assert Fraction(lo, 1 << exponent) <= exact <= Fraction(hi, 1 << exponent)
-            assert hi - lo <= 1
+            assert (hi - lo <= 1) == (j > 10)
 
     def test_full_window_past_512(self):
         n = 700
