@@ -39,9 +39,9 @@ _POWMOD_MIN_N = 20_000
 _WINDOW_EXACT_MAX_N = 512
 _WINDOW_BITS = 160
 _WINDOW_TAIL_TERMS = 12
-# Measured for n = 513..8000 (plain ints): one certified term costs as much
-# as the exact coefficient at j = n/100 within about 10%; at n = 17 000 the
-# certified term is still the cheaper one at j = 170.
+# Measured for n = 513..8000 (Python 3.11 plain ints, 2-CPU x86-64 VM): one
+# certified term costs as much as the exact coefficient at j = n/100 within
+# about 10%; at n = 17 000 the certified term is still cheaper at j = 170.
 _WINDOW_CERTIFIED_N_PER_J = 100
 
 
