@@ -305,7 +305,7 @@ def _run_workers(worker_fn, tasks: list, workers: int) -> list:
     try:
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             return list(pool.map(worker_fn, tasks))
-    except (OSError, PermissionError):
+    except OSError:
         # Sandboxed environments may forbid subprocesses; the serial path
         # consumes the same substreams and yields identical results.
         return [worker_fn(t) for t in tasks]

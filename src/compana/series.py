@@ -7,15 +7,17 @@ in the rational function
     z^(k*m) * (1 - z)^(m+1) / (1 - 2z + z^k * (1 - z))^(m+1).
 
 Dividing by ``2**(n-1)`` gives the exact occurrence probability.  Everything
-here is integer/rational arithmetic; floats appear only in callers.  The
-window bounds past n = 512 carry certified fixed-point intervals instead of
-n-bit coefficients, and stay rigorous bounds.
+here is integer/rational arithmetic; floats appear only in callers.
 
-Coefficients are produced by the linear recurrence induced by the denominator
-(a ring-buffer window of deg(denominator) big integers), or, for very large
-``n``, by modular exponentiation of ``x^n`` against the recurrence's
-characteristic polynomial, which costs O(log n) polynomial products instead
-of n recurrence steps.
+Coefficients come from one of two routes, chosen from the denominator's
+degree d, its number of nonzero terms and n: the linear recurrence induced
+by the denominator (a ring buffer of d big integers, one product per nonzero
+term per step), or ``x^n`` raised modulo the recurrence's characteristic
+polynomial (about d^2 products per bit of n), which wins for small d and
+large n.  The power engine is a midpoint-radius one: at 0 fractional bits it
+is exact and serves the coefficients; at 160 bits, against the polynomial
+scaled by 2^-i, it gives the certified intervals that the window bounds use
+from n = 2000 on instead of n-bit coefficients, so they stay rigorous.
 """
 
 from __future__ import annotations
@@ -29,20 +31,31 @@ try:
 except ImportError:  # gmpy2 is optional: plain int gives the same results, slower
     mpz = int
 
-# Above this index the characteristic-polynomial power route wins.
-_POWMOD_MIN_N = 20_000
+# Route rule: the characteristic-polynomial power (about d^2 products per
+# bit of n) beats the recurrence (one product per nonzero denominator term
+# past z^0 per step, nnz of them) while d^2 / nnz <= min(n / 6, 250).
+# Measured crossovers of d^2 / nnz (Python 3.11 plain ints, 2-CPU x86-64
+# VM): ~30 at n = 200, ~100 at 500, ~200 at 1000, ~230 at 2000, ~260 at
+# 5000, ~350 at 20 000; below n = 50 the recurrence always wins.  The rule
+# implies n >= 6d.
+_POWMOD_N_PER_D2 = 6
+_POWMOD_MAX_D2_PER_TERM = 250
 
-# Window bounds: up to this n every term is exact; above it a term of size
-# j with _WINDOW_CERTIFIED_N_PER_J * j <= n is a certified interval at
-# _WINDOW_BITS fractional bits, and the upper tail past
-# high + _WINDOW_TAIL_TERMS is replaced by a closed-form majorant.
+# Window bounds: up to this n every term is exact; above it the upper tail
+# past high + _WINDOW_TAIL_TERMS is replaced by a closed-form majorant, and
+# from n = _WINDOW_CERTIFIED_MIN_N on a term of size j with
+# _WINDOW_CERTIFIED_N_PER_J * j <= n is a certified interval at
+# _WINDOW_BITS fractional bits.
 _WINDOW_EXACT_MAX_N = 512
 _WINDOW_BITS = 160
 _WINDOW_TAIL_TERMS = 12
-# Measured for n = 513..8000 (Python 3.11 plain ints, 2-CPU x86-64 VM): one
-# certified term costs as much as the exact coefficient at j = n/100 within
-# about 10%; at n = 17 000 the certified term is still cheaper at j = 170.
-_WINDOW_CERTIFIED_N_PER_J = 100
+# Measured for n = 513..8000 (Python 3.11 plain ints, 2-CPU x86-64 VM), one
+# certified term against the exact count(n, j, 0): against the recurrence
+# (large j) the two cost the same near j = n/75; against the power route
+# (small j) the exact term is cheaper below n = 2000 (1.4-1.9x at
+# n = 513..1400, 0.9-1.4x at 2000) and dearer from n = 4000 (0.4-0.95x).
+_WINDOW_CERTIFIED_MIN_N = 2000
+_WINDOW_CERTIFIED_N_PER_J = 75
 
 
 @dataclass(frozen=True)
@@ -124,19 +137,18 @@ def build_multiplicity_gf(k: int, m: int) -> RationalFunctionSpec:
     return RationalFunctionSpec(_densify(numerator), _densify(denominator))
 
 
-def _extract_by_recurrence(spec: RationalFunctionSpec, n: int) -> int:
+def _recurrence_ring(spec: RationalFunctionSpec, stop: int) -> list:
+    """Ring buffer of w big integers after running the recurrence up to
+    index stop - 1, w = the denominator degree or 1: slot i % w holds c_i
+    for stop - w <= i < stop (0 below index 0), so for stop = w the ring is
+    the initial window c_0..c_{w-1} in order."""
     num = spec.numerator
     den_nz = [(j, c) for j, c in enumerate(spec.denominator) if j and c]
-    # Coefficients below the lowest numerator degree are identically zero.
-    base = next((i for i, c in enumerate(num) if c), None)
-    if base is None or n < base:
-        return 0
-    width = spec.denominator_degree
-    if width == 0:
-        return num[n] if n < len(num) else 0
+    width = max(1, spec.denominator_degree)
     window = [0] * width
-    value = 0
-    for i in range(base, n + 1):
+    # Coefficients below the lowest numerator degree are identically zero.
+    base = next((i for i, c in enumerate(num) if c), stop)
+    for i in range(base, stop):
         v = num[i] if i < len(num) else 0
         reach = i - base
         for j, c in den_nz:
@@ -144,92 +156,120 @@ def _extract_by_recurrence(spec: RationalFunctionSpec, n: int) -> int:
                 break
             v -= c * window[(i - j) % width]
         window[i % width] = v
-        value = v
-    return value
+    return window
 
 
-def _reduce_mod(res: list, den_nz: list[tuple[int, int]], d: int) -> list:
-    """In-place reduction modulo the monic characteristic polynomial
-    x^d + sum_j den_j x^(d-j); returns the low d coefficients."""
-    for deg in range(len(res) - 1, d - 1, -1):
-        c = res[deg]
-        if c:
-            res[deg] = mpz(0)
-            for j, dj in den_nz:
-                res[deg - j] -= c * dj
-    return res[:d]
+def _extract_by_recurrence(spec: RationalFunctionSpec, n: int) -> int:
+    ring = _recurrence_ring(spec, n + 1)
+    return ring[n % len(ring)]
 
 
-def _poly_mul_mod(a: list, b: list, den_nz: list[tuple[int, int]], d: int) -> list:
-    """Product of two coefficient vectors reduced modulo the monic
-    characteristic polynomial."""
-    res = [mpz(0)] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    res[i + j] += ai * bj
-    return _reduce_mod(res, den_nz, d)
+# The power engine works on interval vectors: two integer lists mid, rad,
+# with rad >= 0, standing for every real vector A whose entries satisfy
+# |A_i * 2^bits - mid_i| <= rad_i at a fixed scale 2^bits.  It reduces
+# modulo x^d + sum_j den_j 2^-s_j x^(d-j), given as triples (j, den_j, s_j):
+# s_j = 0 for the integer characteristic polynomial, s_j = j for the one
+# scaled by 2^-i.  Each helper returns an interval vector that contains the
+# exact result of its operation applied to every member of its input, so
+# the invariant carries from x^0 = [1 +- 0] through the whole power:
+# products are exact integer convolutions of the midpoints with a radius
+# from the triangle inequality, and each inexact step rounds a midpoint to
+# an integer within one unit (up in the reduction, which subtracts a floor;
+# down in the rescale, which floors) and widens its radius by that unit.
+# A step that drops only zero bits is exact and widens nothing, so at
+# bits = 0 with integer data every radius stays 0 and the power is exact.
 
 
-def _poly_square_mod(a: list, den_nz: list[tuple[int, int]], d: int) -> list:
-    """Square reduced modulo the characteristic polynomial; exploits the
-    symmetry a_i a_j + a_j a_i to halve the big multiplications."""
-    res = [mpz(0)] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            res[2 * i] += ai * ai
+def _interval_reduce(mid: list, rad: list, den: list[tuple[int, int, int]], d: int):
+    """Interval vector reduced, at its own scale, modulo the characteristic
+    polynomial given by den."""
+    for deg in range(len(mid) - 1, d - 1, -1):
+        c, r = mid[deg], rad[deg]
+        if not (c or r):
+            continue
+        for j, dj, s in den:
+            # x_deg in [c - r, c + r] moves -x_deg * dj / 2^s to deg - j.
+            # With t = c * dj, floor(t / 2^s) lies within one unit below
+            # t / 2^s, and |x_deg * dj - t| / 2^s <= ceil(r |dj| / 2^s).
+            t = c * dj
+            mid[deg - j] -= t >> s
+            if r or s:
+                rad[deg - j] += -((-r * abs(dj)) >> s) + (1 if t & ((1 << s) - 1) else 0)
+    return mid[:d], rad[:d]
+
+
+def _interval_square_mod(
+    mid: list, rad: list, den: list[tuple[int, int, int]], d: int, bits: int
+):
+    """Square of an interval vector at scale 2^bits modulo the characteristic
+    polynomial given by den, back at scale 2^bits."""
+    size = 2 * d - 1
+    sq = [0] * size
+    for i, a in enumerate(mid):
+        if a:
+            sq[2 * i] += a * a
+            a2 = a << 1
             for j in range(i + 1, d):
-                aj = a[j]
-                if aj:
-                    res[i + j] += (ai * aj) << 1
-    return _reduce_mod(res, den_nz, d)
+                b = mid[j]
+                if b:
+                    sq[i + j] += a2 * b
+    # |x_i x_j - m_i m_j| <= |m_i| r_j + r_i |m_j| + r_i r_j; summed over the
+    # ordered pairs with i + j = k this is sum (2|m_i| + r_i) r_j.
+    err = [0] * size
+    if any(rad):
+        widened = [2 * abs(a) + r for a, r in zip(mid, rad)]
+        for j, r in enumerate(rad):
+            if r:
+                for i, w in enumerate(widened):
+                    err[i + j] += w * r
+    sq, err = _interval_reduce(sq, err, den, d)
+    if not bits:  # no bits to drop
+        return sq, err
+    # Back from scale 2^(2 bits): floor loses less than one unit.
+    mask = (1 << bits) - 1
+    return (
+        [v >> bits for v in sq],
+        [-((-e) >> bits) + (1 if v & mask else 0) for v, e in zip(sq, err)],
+    )
+
+
+def _power_of_x(n: int, den: list[tuple[int, int, int]], d: int, bits: int):
+    """x^n modulo the characteristic polynomial given by den, by
+    square-and-multiply, as an interval vector at scale 2^bits."""
+    mid = [mpz(1) << bits] + [0] * (d - 1)
+    rad = [0] * d
+    for bit in bin(n)[2:]:
+        mid, rad = _interval_square_mod(mid, rad, den, d, bits)
+        if bit == "1":  # times x: a shift, then one reduction
+            mid, rad = _interval_reduce([0, *mid], [0, *rad], den, d)
+    return mid, rad
 
 
 def _extract_by_powmod(spec: RationalFunctionSpec, n: int) -> int:
     # The sequence obeys the homogeneous recurrence from index
-    # numerator_degree + 1 on, and numerator_degree < denominator_degree for
-    # the specs built here, so x^n reduced against the characteristic
-    # polynomial contracts c_n onto the initial window c_0..c_{d-1}.
+    # numerator_degree + 1 on, so for numerator_degree < d the exact x^n
+    # reduced against the characteristic polynomial contracts c_n onto the
+    # initial window c_0..c_{d-1}.
     d = spec.denominator_degree
-    if spec.numerator_degree >= d or n < d:
-        return _extract_by_recurrence(spec, n)
-    initial = _initial_window(spec, d)
-    den_nz = [(j, mpz(c)) for j, c in enumerate(spec.denominator) if j and c]
-    result = [mpz(0)] * d
-    result[0] = mpz(1)
-    x = [mpz(0)] * d
-    x[1] = mpz(1)
-    for bit in bin(n)[2:]:
-        result = _poly_square_mod(result, den_nz, d)
-        if bit == "1":
-            result = _poly_mul_mod(result, x, den_nz, d)
-    return int(sum(result[t] * initial[t] for t in range(d)))
-
-
-def _initial_window(spec: RationalFunctionSpec, d: int) -> list:
-    num = spec.numerator
-    den_nz = [(j, c) for j, c in enumerate(spec.denominator) if j and c]
-    window: list = []
-    for i in range(d):
-        v = mpz(num[i] if i < len(num) else 0)
-        for j, c in den_nz:
-            if j > i:
-                break
-            v -= c * window[i - j]
-        window.append(v)
-    return window
+    den = [(j, c, 0) for j, c in enumerate(spec.denominator) if j and c]
+    power, _ = _power_of_x(n, den, d, 0)
+    return int(sum(a * c for a, c in zip(power, _recurrence_ring(spec, d))))
 
 
 def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
     """Exact coefficient of z^n in the power series of the rational function.
 
-    Runs the linear recurrence, or from n = 20 000 on (when the numerator
-    degree is below the denominator's) the characteristic-polynomial power.
+    Runs the characteristic-polynomial power when the numerator degree is
+    below the denominator degree d and d^2 <= nnz * min(n / 6, 250), nnz
+    being the denominator's nonzero terms past z^0; else the linear
+    recurrence.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n >= _POWMOD_MIN_N and spec.numerator_degree < spec.denominator_degree:
+    d = spec.denominator_degree
+    terms = d - spec.denominator.count(0)
+    limit = min(n // _POWMOD_N_PER_D2, _POWMOD_MAX_D2_PER_TERM)
+    if spec.numerator_degree < d and d * d <= limit * terms:
         return _extract_by_powmod(spec, n)
     return _extract_by_recurrence(spec, n)
 
@@ -293,64 +333,6 @@ def _presence_tail_majorant_scaled(n: int, start: int, exponent: int) -> int:
     return -((-scaled) >> (start - exponent))
 
 
-# Certified window terms (n > _WINDOW_EXACT_MAX_N) are interval vectors: two
-# integer lists mid, rad, with rad >= 0, standing for every real vector A
-# whose entries satisfy |A_i * 2^s - mid_i| <= rad_i at a fixed scale 2^s.
-# Each helper below returns an interval vector that contains the exact
-# result of its operation applied to every member of its input, so the
-# invariant carries from x^0 = [1 +- 0] through the whole power: products
-# are exact integer convolutions of the midpoints with a radius from the
-# triangle inequality, and each inexact step rounds a midpoint to an integer
-# within one unit (up in the reduction, which subtracts a floor; down in the
-# rescale, which floors) and widens its radius by that unit.
-
-
-def _interval_reduce(mid: list, rad: list, den_nz: list[tuple[int, int]], d: int):
-    """Interval vector reduced, at its own scale, modulo the characteristic
-    polynomial scaled by 2^-i, x^d + sum_j den_j 2^-j x^(d-j), whose
-    coefficients are exact dyadics."""
-    for deg in range(len(mid) - 1, d - 1, -1):
-        c, r = mid[deg], rad[deg]
-        if not (c or r):
-            continue
-        for j, dj in den_nz:
-            # x_deg in [c - r, c + r] moves -x_deg * dj / 2^j to deg - j.
-            # With t = c * dj, floor(t / 2^j) lies within one unit below
-            # t / 2^j, and |x_deg * dj - t| / 2^j <= ceil(r |dj| / 2^j).
-            t = c * dj
-            mid[deg - j] -= t >> j
-            rad[deg - j] += -((-r * abs(dj)) >> j) + (1 if t & ((1 << j) - 1) else 0)
-    return mid[:d], rad[:d]
-
-
-def _interval_square_mod(
-    mid: list, rad: list, den_nz: list[tuple[int, int]], d: int, bits: int
-):
-    """Square of an interval vector at scale 2^bits modulo the scaled
-    characteristic polynomial, back at scale 2^bits."""
-    size = 2 * d - 1
-    sq = [0] * size
-    for i, a in enumerate(mid):
-        if a:
-            sq[2 * i] += a * a
-            a2 = a << 1
-            for j in range(i + 1, d):
-                b = mid[j]
-                if b:
-                    sq[i + j] += a2 * b
-    # |x_i x_j - m_i m_j| <= |m_i| r_j + r_i |m_j| + r_i r_j; summed over the
-    # ordered pairs with i + j = k this is sum (2|m_i| + r_i) r_j.
-    err = [0] * size
-    widened = [2 * abs(a) + r for a, r in zip(mid, rad)]
-    for j, r in enumerate(rad):
-        if r:
-            for i, w in enumerate(widened):
-                err[i + j] += w * r
-    sq, err = _interval_reduce(sq, err, den_nz, d)
-    # Back from scale 2^(2 bits): floor loses less than one unit.
-    return [v >> bits for v in sq], [-((-e) >> bits) + 1 for e in err]
-
-
 def _absent_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
     """Integers lo <= 2^exponent * P(size j absent) <= hi for n > j.
 
@@ -363,18 +345,13 @@ def _absent_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
     """
     spec = build_multiplicity_gf(j, 0)
     d = spec.denominator_degree
-    initial = _initial_window(spec, d)
-    den_nz = [(i, c) for i, c in enumerate(spec.denominator) if i and c]
+    initial = _recurrence_ring(spec, d)
+    den = [(i, c, i) for i, c in enumerate(spec.denominator) if i and c]
     bits = _WINDOW_BITS
-    mid = [1 << bits] + [0] * (d - 1)
-    rad = [0] * d
-    for bit in bin(n)[2:]:
-        mid, rad = _interval_square_mod(mid, rad, den_nz, d, bits)
-        if bit == "1":  # times x: a shift, then one reduction
-            mid, rad = _interval_reduce([0, *mid], [0, *rad], den_nz, d)
+    mid, rad = _power_of_x(n, den, d, bits)
     # 2 b_n = sum_t A_t c_t 2^(1-t), here at scale 2^(bits + d - 1).
-    center = sum(int(c) * m << (d - t) for t, (m, c) in enumerate(zip(mid, initial)))
-    spread = sum(abs(int(c)) * r << (d - t) for t, (r, c) in enumerate(zip(rad, initial)))
+    center = int(sum(c * m << (d - t) for t, (m, c) in enumerate(zip(mid, initial))))
+    spread = int(sum(abs(c) * r << (d - t) for t, (r, c) in enumerate(zip(rad, initial))))
     shift = exponent - (bits + d - 1)
     lo = max(0, (center - spread) << shift)
     hi = min(1 << exponent, (center + spread) << shift)
@@ -384,11 +361,11 @@ def _absent_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
 def _window_term_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
     """Integers lo <= 2^exponent * P(size j absent) <= hi.
 
-    Up to n = _WINDOW_EXACT_MAX_N, and past the measured crossover
-    _WINDOW_CERTIFIED_N_PER_J * j > n, the exact coefficient rounded outward
-    (exact when exponent = n - 1); otherwise the certified interval.
+    From n = _WINDOW_CERTIFIED_MIN_N on, while _WINDOW_CERTIFIED_N_PER_J * j
+    <= n, the certified interval; otherwise the exact coefficient rounded
+    outward (exact when exponent = n - 1).
     """
-    if n > _WINDOW_EXACT_MAX_N and _WINDOW_CERTIFIED_N_PER_J * j <= n:
+    if n >= _WINDOW_CERTIFIED_MIN_N and _WINDOW_CERTIFIED_N_PER_J * j <= n:
         return _absent_interval(n, j, exponent)
     scaled = count_with_multiplicity(n, j, 0) << exponent
     return scaled >> (n - 1), -((-scaled) >> (n - 1))
@@ -420,13 +397,14 @@ def window_tail_bounds(n: int, low: int, high: int) -> tuple[Fraction, Fraction]
     distinct-size count lies in [low, high] is at least
     ``1 - below - above``.
 
-    For ``n <= 512`` both sums are exact.  For larger n each term of size
-    ``j <= n/100`` is a certified interval (a 160-bit fixed-point power with
-    outward rounding, narrower than 2^-120 up to n = 10^9) and each larger
-    one the exact term rounded outward; the unfavourable end is taken, and
-    only the first 12 terms of the upper tail are summed; the remainder
-    is replaced by its closed-form expected-occurrence majorant, which stays
-    within 2^-(high + 12) * O(n) of the true sum.
+    For ``n <= 512`` both sums are exact.  For larger n only the first 12
+    terms of the upper tail are summed; the remainder is replaced by its
+    closed-form expected-occurrence majorant, which stays within
+    2^-(high + 12) * O(n) of the true sum.  From n = 2000 on each term of
+    size ``j <= n/75`` is a certified interval (a 160-bit fixed-point power
+    with outward rounding, narrower than 2^-128 up to n = 10^9), and every
+    other term is the exact term rounded outward; the unfavourable end is
+    taken.
     """
     below, above, exponent = _window_tail_numerators(n, low, high)
     return _dyadic_fraction(below, exponent), _dyadic_fraction(above, exponent)

@@ -95,10 +95,38 @@ class TestExtractCoefficient:
         assert series._extract_by_recurrence(spec, n) == series._extract_by_powmod(spec, n)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 9), st.integers(0, 3), st.integers(0, 400))
+    @given(st.integers(1, 60), st.integers(0, 3), st.integers(0, 3000))
     def test_powmod_matches_recurrence_random(self, k, m, n):
+        # k <= 60 reaches both sides of the route rule (up to d = 244).
         spec = series.build_multiplicity_gf(k, m)
-        assert series._extract_by_recurrence(spec, n) == series._extract_by_powmod(spec, n)
+        exact = series._extract_by_recurrence(spec, n)
+        assert series._extract_by_powmod(spec, n) == exact
+        assert series.extract_coefficient(spec, n) == exact
+        den = [(j, c, 0) for j, c in enumerate(spec.denominator) if j and c]
+        _, rad = series._power_of_x(n, den, spec.denominator_degree, 0)
+        assert not any(rad)
+
+    @pytest.mark.parametrize(
+        "n,k,m,route",
+        [
+            (20_000, 200, 0, "_extract_by_recurrence"),
+            (500, 100, 1, "_extract_by_recurrence"),
+            (24_000, 14, 3, "_extract_by_powmod"),
+            (13_000, 1, 1, "_extract_by_powmod"),
+            (3, 2, 0, "_extract_by_recurrence"),  # n < d
+        ],
+    )
+    def test_route(self, monkeypatch, n, k, m, route):
+        for name in ("_extract_by_recurrence", "_extract_by_powmod"):
+            monkeypatch.setattr(series, name, lambda spec, n, name=name: name)
+        assert series.count_with_multiplicity(n, k, m) == route
+
+    def test_numerator_degree_keeps_the_recurrence(self):
+        # (1 + 5z^3) / (1 - z): d = 1 is small, but the numerator reaches
+        # past it, so x^n against the initial window would be wrong.
+        spec = series.RationalFunctionSpec((1, 0, 0, 5), (1, -1))
+        assert series.extract_coefficient(spec, 10) == 6
+        assert series._extract_by_powmod(spec, 10) != 6
 
 
 class TestProbabilities:
@@ -249,14 +277,19 @@ class TestCertifiedWindow:
         assert float(bound) == float(exact)
 
     def test_exact_terms_past_crossover(self):
-        # 100 j > n takes the exact coefficient, rounded outward; 100 j <= n
-        # the certified interval, wider than one unit at this scale.
-        n, exponent = 1000, 200
-        for j in (10, 11, 300, 999, 1000):
+        # From n = 2000 on, 75 j <= n takes the certified interval, wider
+        # than one unit at this scale; every other term takes the exact
+        # coefficient, rounded outward.
+        exponent = 220
+        for n, j, certified in [
+            (1999, 1, False), (1999, 26, False), (2000, 1, True), (2000, 26, True),
+            (2000, 27, False), (4000, 53, True), (4000, 54, False), (1000, 999, False),
+            (1000, 1000, False),
+        ]:
             lo, hi = series._window_term_interval(n, j, exponent)
             exact = Fraction(series.count_with_multiplicity(n, j, 0), 1 << (n - 1))
             assert Fraction(lo, 1 << exponent) <= exact <= Fraction(hi, 1 << exponent)
-            assert (hi - lo <= 1) == (j > 10)
+            assert (hi - lo > 1) == certified
 
     def test_full_window_past_512(self):
         n = 700
