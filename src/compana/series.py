@@ -193,7 +193,7 @@ def _interval_reduce(mid: list, rad: list, den: list[tuple[int, int, int]], d: i
             # t / 2^s, and |x_deg * dj - t| / 2^s <= ceil(r |dj| / 2^s).
             t = c * dj
             mid[deg - j] -= t >> s
-            if r or s:
+            if r or s:  # else the step is exact and widens nothing
                 rad[deg - j] += -((-r * abs(dj)) >> s) + (1 if t & ((1 << s) - 1) else 0)
     return mid[:d], rad[:d]
 
@@ -216,7 +216,7 @@ def _interval_square_mod(
     # |x_i x_j - m_i m_j| <= |m_i| r_j + r_i |m_j| + r_i r_j; summed over the
     # ordered pairs with i + j = k this is sum (2|m_i| + r_i) r_j.
     err = [0] * size
-    if any(rad):
+    if any(rad):  # exact inputs square exactly
         widened = [2 * abs(a) + r for a, r in zip(mid, rad)]
         for j, r in enumerate(rad):
             if r:

@@ -240,10 +240,10 @@ class TestWindowTailBounds:
         assert p_hat >= bound - 5 * stderr
 
 
-def exact_route_window_bound(n, low, high):
-    """The window bound from exact coefficients: the same term set as
-    window_lower_bound past n = 512 (high + 12 upper terms, then the exact
-    majorant of the rest)."""
+def exact_route_tail_bounds(n, low, high):
+    """The window-miss bounds (below, above) from exact coefficients: the
+    same term set as window_tail_bounds past n = 512 (high + 12 upper terms,
+    then the exact majorant of the rest)."""
     top = min(n, high + 12)
     absent = [Fraction(series.count_with_multiplicity(n, j, 0), 1 << (n - 1))
               for j in range(1, max(low, top) + 1)]
@@ -251,6 +251,11 @@ def exact_route_window_bound(n, low, high):
     above = sum(1 - absent[j - 1] for j in range(high + 1, top + 1))
     if top < n:
         above += Fraction(n - top + 1, 1 << (top + 1))
+    return below, above
+
+
+def exact_route_window_bound(n, low, high):
+    below, above = exact_route_tail_bounds(n, low, high)
     return 1 - below - above
 
 
@@ -275,6 +280,51 @@ class TestCertifiedWindow:
         assert exact - bound < Fraction(1, 1 << 100)
         assert bound.denominator <= 1 << (series._WINDOW_BITS + 64)
         assert float(bound) == float(exact)
+
+    @pytest.mark.parametrize("n", [1000, 4097])
+    def test_each_tail_bound_is_above_its_exact_sum(self, n):
+        from compana import cli
+
+        low, high = cli.distinct_window(n)
+        below, above = series.window_tail_bounds(n, low, high)
+        exact_below, exact_above = exact_route_tail_bounds(n, low, high)
+        assert exact_below <= below < exact_below + Fraction(1, 1 << 100)
+        assert exact_above <= above < exact_above + Fraction(1, 1 << 100)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_interval_helpers_contain_exact_results(self, k, data):
+        # Each helper's output must contain the exact result for every
+        # member of its input box; checked at a random corner or centre.
+        spec = series.build_multiplicity_gf(k, 0)
+        d = spec.denominator_degree
+        den = [(i, c, i) for i, c in enumerate(spec.denominator) if i and c]
+        bits = 8
+        vector = st.lists(st.integers(-(1 << 12), 1 << 12), min_size=d, max_size=d)
+        mid = data.draw(vector)
+        rad = data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+        signs = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=d, max_size=d))
+        point = [Fraction(m + s * r, 1 << bits) for m, r, s in zip(mid, rad, signs)]
+
+        def reduce_exact(poly):
+            for deg in range(len(poly) - 1, d - 1, -1):
+                for j, dj, s in den:
+                    poly[deg - j] -= poly[deg] * Fraction(dj, 1 << s)
+            return poly[:d]
+
+        def assert_contains(interval, values):
+            for m, r, v in zip(*interval, values):
+                assert abs(v * (1 << bits) - m) <= r
+
+        shifted = series._interval_reduce([0, *mid], [0, *rad], den, d)
+        assert_contains(shifted, reduce_exact([Fraction(0), *point]))
+        square = [Fraction(0)] * (2 * d - 1)
+        for i, a in enumerate(point):
+            for j, b in enumerate(point):
+                square[i + j] += a * b
+        assert_contains(
+            series._interval_square_mod(mid, rad, den, d, bits), reduce_exact(square)
+        )
 
     def test_exact_terms_past_crossover(self):
         # From n = 2000 on, 75 j <= n takes the certified interval, wider
