@@ -113,7 +113,7 @@ class TestExtractCoefficient:
             (500, 100, 1, "_extract_by_recurrence"),
             (24_000, 14, 3, "_extract_by_powmod"),
             (13_000, 1, 1, "_extract_by_powmod"),
-            (3, 2, 0, "_extract_by_recurrence"),  # n < d
+            (3, 2, 0, "_extract_by_recurrence"),  # n < 6d
         ],
     )
     def test_route(self, monkeypatch, n, k, m, route):
@@ -300,8 +300,7 @@ class TestCertifiedWindow:
         d = spec.denominator_degree
         den = [(i, c, i) for i, c in enumerate(spec.denominator) if i and c]
         bits = 8
-        vector = st.lists(st.integers(-(1 << 12), 1 << 12), min_size=d, max_size=d)
-        mid = data.draw(vector)
+        mid = data.draw(st.lists(st.integers(-(1 << 12), 1 << 12), min_size=d, max_size=d))
         rad = data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
         signs = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=d, max_size=d))
         point = [Fraction(m + s * r, 1 << bits) for m, r, s in zip(mid, rad, signs)]
