@@ -3,7 +3,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compana import asymptotics as asym
@@ -161,11 +161,21 @@ class TestFluctuation:
         assert peak1 < peak2
         assert peak2 == pytest.approx(amp2, rel=1e-3)
 
+    # Near a peak of the first harmonic at m = 4 the second harmonic adds
+    # 1.2e-6 of the first amplitude, so a flat 1e-6 margin is false there.
     @settings(max_examples=60, deadline=None)
+    @example(x=-1.991890339176508, m=4)
     @given(st.floats(-10, 10, allow_nan=False), st.integers(1, 4))
     def test_bounded_by_first_amplitude(self, x, m):
-        amplitude, _ = asym.first_harmonic_amplitude(m, 1)
-        assert abs(asym.fluctuation(x, m)) <= amplitude * 1.000001
+        # Triangle inequality over the summed harmonics: |F| is at most the
+        # first amplitude plus the higher ones, and those are a 1e-5 sliver.
+        amplitudes = [
+            asym.first_harmonic_amplitude(m, p)[0]
+            for p in range(1, asym.DEFAULT_HARMONICS + 1)
+        ]
+        first, higher = amplitudes[0], math.fsum(amplitudes[1:])
+        assert higher < 1e-5 * first
+        assert abs(asym.fluctuation(x, m)) <= (first + higher) * (1 + 1e-12)
 
 
 class TestFirstHarmonicAmplitude:
