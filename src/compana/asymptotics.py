@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 LN2 = math.log(2.0)
-# Controls the fluctuation amplitude: 2 * (ALPHA/sinh ALPHA)^(1/2) ~ 1e-5.
-ALPHA = 2.0 * math.pi**2 / LN2
 
 DEFAULT_HARMONICS = 5
 _DIRECT_CUTOFF = 1e-20
@@ -60,17 +58,6 @@ class HarmonicSumResult:
     k_lo: int
     k_hi: int
     p_max: int
-
-
-@dataclass(frozen=True)
-class FluctuationParams:
-    """Harmonic amplitudes/phases of the periodic fluctuation."""
-
-    m: int
-    p_max: int
-    alpha: float
-    amplitudes: tuple[float, ...]
-    phases: tuple[float, ...]
 
 
 def complex_gamma(z: complex) -> complex:
@@ -128,23 +115,20 @@ def _direct_window(n: float, m: int, rel_cutoff: float) -> tuple[int, int, float
 
 
 def _direct_sum(n: float, m: int, rel_cutoff: float) -> tuple[float, int, int]:
-    n, m = _validate_sum_args(n, m)
-    k_lo, k_hi, peak = _direct_window(n, m, rel_cutoff)
-    log_terms = [-k * m * LN2 - n / 2.0**k for k in range(k_lo, k_hi + 1)]
-    scaled = math.fsum(sorted((math.exp(lt - peak) for lt in log_terms), reverse=True))
-    value = math.exp(m * math.log(n) - math.lgamma(m + 1) + peak + math.log(scaled))
-    return value, k_lo, k_hi
-
-
-def harmonic_sum_direct(n: float, m: int, rel_cutoff: float = _DIRECT_CUTOFF) -> float:
-    """n^m/m! * sum_{k>=1} 2^(-k m) exp(-n/2^k) by direct summation.
+    """n^m/m! * sum_{k>=1} 2^(-k m) exp(-n/2^k) by direct summation, with
+    the k-window it summed.
 
     Terms are gathered outward from the peak near k = log2(n/m) until they
     fall below ``rel_cutoff`` times the largest one, then added largest
     first.  The scaling happens in log space so n up to 1e9 (and beyond)
     is safe.
     """
-    return _direct_sum(n, m, rel_cutoff)[0]
+    n, m = _validate_sum_args(n, m)
+    k_lo, k_hi, peak = _direct_window(n, m, rel_cutoff)
+    log_terms = [-k * m * LN2 - n / 2.0**k for k in range(k_lo, k_hi + 1)]
+    scaled = math.fsum(sorted((math.exp(lt - peak) for lt in log_terms), reverse=True))
+    value = math.exp(m * math.log(n) - math.lgamma(m + 1) + peak + math.log(scaled))
+    return value, k_lo, k_hi
 
 
 def _validate_sum_args(n: float, m: int) -> tuple[float, int]:
@@ -164,7 +148,7 @@ def harmonic_sum_residues(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> f
 
     The oscillatory phase is taken from the fractional part of log2(n), so
     large n loses no precision to the integer part.  Harmonics decay like
-    exp(-p * ALPHA / 2); p_max = 5 is far beyond double precision already.
+    exp(-p pi^2 / log 2); p_max = 5 is far beyond double precision already.
     """
     n, m = _validate_sum_args(n, m)
     if p_max < 0:
@@ -198,35 +182,6 @@ def fluctuation(x: float, m: int = 1, p_max: int = DEFAULT_HARMONICS) -> float:
     if m < 1:
         raise ValueError("m must be >= 1")
     return _harmonics(0.0, float(x) % 1.0, m, p_max) / math.factorial(m)
-
-
-def first_harmonic_amplitude(m: int, p: int) -> tuple[float, float]:
-    """(amplitude, phase) of the p-th fluctuation harmonic: the modulus
-    2 |Gamma(m + 2 pi i p / log 2)| / m! and the argument of that gamma
-    value.  For m = 1 the modulus equals 2 (p a / sinh(p a))^(1/2) with
-    a = 2 pi^2 / log 2, by the sine reflection identity.
-    """
-    if m < 1 or p < 1:
-        raise ValueError("m and p must be >= 1")
-    gamma_value = complex_gamma(_gamma_line_argument(m, p))
-    return 2.0 * abs(gamma_value) / math.factorial(m), cmath.phase(gamma_value)
-
-
-def fluctuation_params(m: int = 1, p_max: int = DEFAULT_HARMONICS) -> FluctuationParams:
-    amps = []
-    phases = []
-    for p in range(1, p_max + 1):
-        amplitude, phase = first_harmonic_amplitude(m, p)
-        amps.append(amplitude)
-        phases.append(phase)
-    return FluctuationParams(
-        m=m, p_max=p_max, alpha=ALPHA, amplitudes=tuple(amps), phases=tuple(phases)
-    )
-
-
-def fluctuation_extremes(m: int = 1, p_max: int = DEFAULT_HARMONICS, grid: int = 4096) -> float:
-    """max |F| over a uniform grid of one period."""
-    return max(abs(fluctuation(i / grid, m, p_max)) for i in range(grid))
 
 
 def predict_event_probability(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> float:

@@ -1,15 +1,16 @@
 """Uniform random compositions of an integer and their multiplicity profiles.
 
 A composition of ``n`` is an ordered tuple of positive integers summing to
-``n``; there are ``2**(n-1)`` of them.  Throughout this package a composition
-is represented as a plain tuple of parts and a multiplicity profile as a
-``collections.Counter`` mapping part size to multiplicity.
+``n``; there are ``2**(n-1)`` of them.  Its multiplicity profile records how
+many parts each size has.
 
-The module provides ground-truth enumeration for small ``n``, exact rational
-event probabilities from that enumeration, and seeded Monte Carlo estimators
-that remain practical for very large ``n`` (a profile of a uniform composition
-of ``n = 10**6`` is sampled in a few dozen vectorized draws rather than by
-materializing ~n/2 parts).
+The module provides ground-truth enumeration up to a cap on ``n`` (25 by
+default, ``COMPANA_ENUM_CAP`` overrides it), exact rational event
+probabilities and expected sizes from one walk over that enumeration, and
+seeded Monte Carlo estimators that remain practical for very large ``n`` (a
+profile of a uniform composition of ``n = 10**6`` is sampled in a few dozen
+vectorized draws of part-size counts rather than by materializing ~n/2
+parts).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -72,39 +73,16 @@ def enumeration_cap() -> int:
     return cap
 
 
-def _check_cap(n: int, cap: int | None) -> None:
-    effective = enumeration_cap() if cap is None else cap
-    if n > effective:
+def _check_cap(n: int) -> None:
+    cap = enumeration_cap()
+    if n > cap:
         raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap of {effective} "
+            f"n={n} exceeds the enumeration cap of {cap} "
             f"(2**{n - 1} compositions); raise {ENUM_CAP_ENV_VAR} to override"
         )
 
 
-def bits_to_composition(n: int, bits: Sequence[int]) -> tuple[int, ...]:
-    """Decode a cut pattern into a composition of ``n``.
-
-    Bit ``i`` (0-based index ``i``, unit cells 1..n) set means a part
-    boundary after cell ``i+1``.  The map is a bijection between the
-    ``2**(n-1)`` bit patterns and the compositions of ``n``.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(bits) != n - 1:
-        raise ValueError(f"expected {n - 1} boundary bits, got {len(bits)}")
-    parts = []
-    run = 1
-    for b in bits:
-        if b:
-            parts.append(run)
-            run = 1
-        else:
-            run += 1
-    parts.append(run)
-    return tuple(parts)
-
-
-def enumerate_compositions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every composition of ``n`` exactly once (2**(n-1) of them).
 
     Refuses n above the enumeration cap (default 25, COMPANA_ENUM_CAP
@@ -112,7 +90,7 @@ def enumerate_compositions(n: int, cap: int | None = None) -> Iterator[tuple[int
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_cap(n, cap)
+    _check_cap(n)
     for mask in range(1 << (n - 1)):
         parts = []
         prev = 0
@@ -126,19 +104,7 @@ def enumerate_compositions(n: int, cap: int | None = None) -> Iterator[tuple[int
         yield tuple(parts)
 
 
-def multiplicity_profile(parts: Sequence[int]) -> Counter:
-    """Map each part size to the number of parts with that size."""
-    if not parts:
-        raise ValueError("a composition has at least one part")
-    return Counter(parts)
-
-
-def distinct_size_count(parts: Sequence[int]) -> int:
-    """Number of distinct part sizes."""
-    return len(set(parts))
-
-
-def _profile_census(n: int, cap: int | None) -> Counter:
+def _profile_census(n: int) -> Counter:
     """Multiplicity profiles of the compositions of ``n``, each with the
     number of compositions that have it.
 
@@ -147,7 +113,7 @@ def _profile_census(n: int, cap: int | None) -> Counter:
     statistic read from them stay off the hot loop.
     """
     partitions: Counter = Counter()
-    for parts in enumerate_compositions(n, cap=cap):
+    for parts in enumerate_compositions(n):
         partitions[tuple(sorted(parts))] += 1
     census: Counter = Counter()
     for partition, count in partitions.items():
@@ -167,7 +133,7 @@ def _event_probability(census: Counter, n: int, m: int) -> Fraction:
     return total / (1 << (n - 1))
 
 
-def exact_event_probability(n: int, m: int, cap: int | None = None) -> Fraction:
+def exact_event_probability(n: int, m: int) -> Fraction:
     """Exact probability that a uniform part size of a uniform composition
     of ``n`` has multiplicity ``m``.
 
@@ -176,32 +142,24 @@ def exact_event_probability(n: int, m: int, cap: int | None = None) -> Fraction:
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    return _event_probability(_profile_census(n, cap), n, m)
+    return _event_probability(_profile_census(n), n, m)
 
 
-def exact_event_probabilities(n: int, cap: int | None = None) -> dict[int, Fraction]:
+def exact_event_probabilities(n: int) -> dict[int, Fraction]:
     """exact_event_probability for every m = 1..n at which it is nonzero,
     in increasing m, from a single walk over the compositions."""
-    census = _profile_census(n, cap)
+    census = _profile_census(n)
     return {m: p for m in range(1, n + 1) if (p := _event_probability(census, n, m))}
 
 
-def exact_expected_sizes_with_multiplicity(n: int, m: int, cap: int | None = None) -> Fraction:
+def exact_expected_sizes_with_multiplicity(n: int, m: int) -> Fraction:
     """Exact expected number of part sizes with multiplicity ``m``, averaged
     over all compositions of ``n`` by brute force (enumeration route)."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    census = _profile_census(n, cap)
+    census = _profile_census(n)
     total = sum(multiplicities.count(m) * count for multiplicities, count in census.items())
     return Fraction(total, 1 << (n - 1))
-
-
-def sample_composition(n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw a uniform composition of ``n`` from ``n - 1`` fair boundary bits."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bits = rng.integers(0, 2, size=n - 1)
-    return bits_to_composition(n, bits.tolist())
 
 
 def worker_rng(seed: int, worker: int) -> np.random.Generator:

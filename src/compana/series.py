@@ -33,12 +33,15 @@ except ImportError:  # gmpy2 is optional: plain int gives the same results, slow
 
 # Route rule: the characteristic-polynomial power (about d^2 products per
 # bit of n) beats the recurrence (one product per nonzero denominator term
-# past z^0 per step, nnz of them) while d^2 / nnz <= min(n / 6, 250).
+# past z^0 per step, nnz of them) while d^2 / nnz <= min(n / 6, n - 80, 250).
 # Measured crossovers of d^2 / nnz (Python 3.11 plain ints, 2-CPU x86-64
 # VM): ~30 at n = 200, ~100 at 500, ~200 at 1000, ~230 at 2000, ~260 at
-# 5000, ~350 at 20 000; below n = 50 the recurrence always wins.  The rule
-# implies n >= 6d.
+# 5000, ~350 at 20 000.  Below n ~ 80 the recurrence wins even for d^2 / nnz
+# = 2 to 12 (d = 2 to 8), whose crossovers lie at n ~ 60 to 100; the n - 80
+# term sends them to the power from n = 82 to 92 and changes no route from
+# n = 95 on.  The rule implies n >= 6d.
 _POWMOD_N_PER_D2 = 6
+_POWMOD_N_FLOOR = 80
 _POWMOD_MAX_D2_PER_TERM = 250
 
 # Window bounds: up to this n every term is exact; above it the upper tail
@@ -46,7 +49,7 @@ _POWMOD_MAX_D2_PER_TERM = 250
 # from n = _WINDOW_CERTIFIED_MIN_N on a term of size j with
 # _WINDOW_CERTIFIED_N_PER_J * j <= n is a certified interval at
 # _WINDOW_BITS fractional bits.
-_WINDOW_EXACT_MAX_N = 512
+_WINDOW_EXACT_MAX_N = 512  # a majorant here moves printed bounds at 12 digits
 _WINDOW_BITS = 160
 _WINDOW_TAIL_TERMS = 12
 # Measured for n = 513..8000 (Python 3.11 plain ints, 2-CPU x86-64 VM), one
@@ -110,13 +113,6 @@ def _kernel_sparse(k: int) -> dict[int, int]:
     for e, c in ((1, -2), (k, 1), (k + 1, -1)):
         kernel[e] = kernel.get(e, 0) + c
     return {e: c for e, c in kernel.items() if c}
-
-
-def kernel_polynomial(k: int) -> tuple[int, ...]:
-    """Coefficients of 1 - 2z + z^k - z^(k+1), the denominator kernel."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _densify(_kernel_sparse(k))
 
 
 def build_multiplicity_gf(k: int, m: int) -> RationalFunctionSpec:
@@ -260,23 +256,18 @@ def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
     """Exact coefficient of z^n in the power series of the rational function.
 
     Runs the characteristic-polynomial power when the numerator degree is
-    below the denominator degree d and d^2 <= nnz * min(n / 6, 250), nnz
-    being the denominator's nonzero terms past z^0; else the linear
+    below the denominator degree d and d^2 <= nnz * min(n / 6, n - 80, 250),
+    nnz being the denominator's nonzero terms past z^0; else the linear
     recurrence.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     d = spec.denominator_degree
     terms = d - spec.denominator.count(0)
-    limit = min(n // _POWMOD_N_PER_D2, _POWMOD_MAX_D2_PER_TERM)
+    limit = min(n // _POWMOD_N_PER_D2, n - _POWMOD_N_FLOOR, _POWMOD_MAX_D2_PER_TERM)
     if spec.numerator_degree < d and d * d <= limit * terms:
         return _extract_by_powmod(spec, n)
     return _extract_by_recurrence(spec, n)
-
-
-def _dyadic_fraction(numerator: int, exponent: int) -> Fraction:
-    """Fraction numerator / 2**exponent in lowest terms."""
-    return Fraction(numerator, 1 << exponent)
 
 
 def count_with_multiplicity(n: int, k: int, m: int) -> int:
@@ -291,18 +282,7 @@ def count_with_multiplicity(n: int, k: int, m: int) -> int:
 def prob_multiplicity(n: int, k: int, m: int) -> Fraction:
     """Exact probability that part size k has multiplicity m in a uniform
     composition of n."""
-    return _dyadic_fraction(count_with_multiplicity(n, k, m), n - 1)
-
-
-def prob_size_present(n: int, k: int) -> Fraction:
-    """Exact probability that a uniform composition of n contains a part of
-    size k (the complement of multiplicity zero)."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
-    if k > n:
-        return Fraction(0)
-    absent = count_with_multiplicity(n, k, 0)
-    return _dyadic_fraction((1 << (n - 1)) - absent, n - 1)
+    return Fraction(count_with_multiplicity(n, k, m), 1 << (n - 1))
 
 
 def expected_sizes_with_multiplicity(n: int, m: int) -> Fraction:
@@ -313,7 +293,7 @@ def expected_sizes_with_multiplicity(n: int, m: int) -> Fraction:
     total = 0
     for k in range(1, n // m + 1):
         total += count_with_multiplicity(n, k, m)
-    return _dyadic_fraction(total, n - 1)
+    return Fraction(total, 1 << (n - 1))
 
 
 def _presence_tail_majorant_scaled(n: int, start: int, exponent: int) -> int:
@@ -388,14 +368,14 @@ def _window_tail_numerators(n: int, low: int, high: int) -> tuple[int, int, int]
     return below, above, exponent
 
 
-def window_tail_bounds(n: int, low: int, high: int) -> tuple[Fraction, Fraction]:
-    """Window-miss bounds for the number of distinct part sizes.
+def window_lower_bound(n: int, low: int, high: int) -> Fraction:
+    """Rigorous lower bound for P(low <= distinct sizes <= high).
 
-    Returns rationals ``(below, above)`` with ``below`` an upper bound for
+    The count misses the window only if a size j <= low is absent or a size
+    j > high is present, so the bound is 1 - below - above, assembled in
+    integer arithmetic, with ``below`` an upper bound for
     ``sum_{j<=low} (1 - P(size j present))`` and ``above`` an upper bound for
-    ``sum_{j>high, j<=n} P(size j present)``; the probability that the
-    distinct-size count lies in [low, high] is at least
-    ``1 - below - above``.
+    ``sum_{j>high, j<=n} P(size j present)``.
 
     For ``n <= 512`` both sums are exact.  For larger n only the first 12
     terms of the upper tail are summed; the remainder is replaced by its
@@ -403,15 +383,8 @@ def window_tail_bounds(n: int, low: int, high: int) -> tuple[Fraction, Fraction]
     2^-(high + 12) * O(n) of the true sum.  From n = 2000 on each term of
     size ``j <= n/75`` is a certified interval (a 160-bit fixed-point power
     with outward rounding, narrower than 2^-128 up to n = 10^9), and every
-    other term is the exact term rounded outward; the unfavourable end is
-    taken.
+    other term is the exact term rounded outward; each tail takes the
+    unfavourable end of every interval.
     """
     below, above, exponent = _window_tail_numerators(n, low, high)
-    return _dyadic_fraction(below, exponent), _dyadic_fraction(above, exponent)
-
-
-def window_lower_bound(n: int, low: int, high: int) -> Fraction:
-    """Rigorous lower bound for P(low <= distinct sizes <= high), i.e.
-    1 minus both window-miss bounds, assembled in integer arithmetic."""
-    below, above, exponent = _window_tail_numerators(n, low, high)
-    return _dyadic_fraction((1 << exponent) - below - above, exponent)
+    return Fraction((1 << exponent) - below - above, 1 << exponent)

