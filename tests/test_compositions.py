@@ -74,6 +74,7 @@ class TestEnumeration:
             list(comps.enumerate_compositions(26))
 
     def test_cap_parameter(self):
+        # The cap is checked before the first composition is built.
         with pytest.raises(comps.EnumerationCapError):
             next(comps.enumerate_compositions(26))
 
