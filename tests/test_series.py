@@ -170,6 +170,29 @@ class TestProbabilities:
         assert series.expected_sizes_with_multiplicity(1, 1) == 1
         assert series.expected_sizes_with_multiplicity(5, 5) == Fraction(1, 16)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 4), st.data())
+    def test_inclusion_exclusion_matches_extraction(self, n, m, data):
+        # k in 1..n + 1 reaches k m > n and r = n - kj = 0 (k | n); the first
+        # branch keeps k near the switch m k^3 = 2n, on both of its sides.
+        switch = round((series._IE_K3_PER_N * n / max(m, 1)) ** (1 / 3))
+        k = data.draw(st.one_of(st.integers(1, 2 * switch), st.integers(1, n + 1)), label="k")
+        count = series._count_by_inclusion_exclusion(n, k, m)
+        assert count == series.count_with_multiplicity(n, k, m)
+
+    @pytest.mark.parametrize(
+        "n,k,m", [(10, 4, 3), (12, 4, 3), (300, 1, 0), (300, 1, 4), (300, 300, 1), (300, 150, 2)]
+    )
+    def test_inclusion_exclusion_edges(self, n, k, m):
+        # k m > n; r = 0 at j = 3; k = 1; r = 0 at j = m = 1 and 2.
+        assert series._count_by_inclusion_exclusion(n, k, m) == series.count_with_multiplicity(n, k, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_expected_sizes_equal_extraction_sum(self, m):
+        n = 1500
+        total = sum(series.count_with_multiplicity(n, k, m) for k in range(1, n // m + 1))
+        assert series.expected_sizes_with_multiplicity(n, m) == Fraction(total, 1 << (n - 1))
+
     @pytest.mark.parametrize("n", [6, 9])
     def test_expected_sizes_against_census(self, n):
         census = multiplicity_census(n)
