@@ -98,6 +98,13 @@ def solve_dominant_root(k: int) -> DominantRoot:
     return DominantRoot(k, x, lo, hi, residual, "bisection+newton")
 
 
+def _log_binomial(n: int, m: int) -> float:
+    """log C(n+m, m) as the sum of log1p(n/i) over i = 1..m, accurate to a
+    few ulps at any n; a difference of lgamma values cancels (relative
+    error 7.6e-7 at n = 10^9, m = 1)."""
+    return math.fsum(math.log1p(n / i) for i in range(1, m + 1))
+
+
 def prob_multiplicity_singularity(n: int, k: int, m: int) -> SingularityApproximation:
     """Leading-term estimate of the probability that size k has multiplicity
     m in a uniform composition of n:
@@ -113,7 +120,7 @@ def prob_multiplicity_singularity(n: int, k: int, m: int) -> SingularityApproxim
     rho = root.value
     qprime = kernel_derivative(k, rho)
     log_p = k * m * math.log(rho) + (m + 1) * math.log1p(-rho)
-    log_binom = math.lgamma(n + m + 1) - math.lgamma(m + 1) - math.lgamma(n + 1)
+    log_binom = _log_binomial(n, m)
     log_decay = -n * math.log1p(2.0 * (rho - 0.5))
     log_value = (
         log_binom
