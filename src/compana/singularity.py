@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 NEWTON_MAX_K = 40
 _RESIDUAL_TOL = 1e-12
+_LOG_BINOMIAL_EXACT_MAX = 1000  # math.comb(10**9 + 1000, 1000) takes 0.8 ms
 
 
 class NumericalInstabilityError(RuntimeError):
@@ -99,10 +100,18 @@ def solve_dominant_root(k: int) -> DominantRoot:
 
 
 def _log_binomial(n: int, m: int) -> float:
-    """log C(n+m, m) as the sum of log1p(n/i) over i = 1..m, accurate to a
-    few ulps at any n; a difference of lgamma values cancels (relative
-    error 7.6e-7 at n = 10^9, m = 1)."""
-    return math.fsum(math.log1p(n / i) for i in range(1, m + 1))
+    """log C(n+m, m).
+
+    While min(n, m) <= _LOG_BINOMIAL_EXACT_MAX it is the log of the exact
+    integer, within an ulp or two at any n, where a difference of lgamma
+    values cancels (relative error 7.6e-7 at n = 10^9, m = 1).  Past that
+    the exact integer costs more than a millisecond, and the lgamma
+    difference loses less while max(n, m) stays moderate (2.3e-12 relative
+    at n = 10^9, m = 1001; 1.7e-7 at n = 1001, m = 10^12).
+    """
+    if min(n, m) <= _LOG_BINOMIAL_EXACT_MAX:
+        return math.log(math.comb(n + m, m))
+    return math.lgamma(n + m + 1) - math.lgamma(m + 1) - math.lgamma(n + 1)
 
 
 def prob_multiplicity_singularity(n: int, k: int, m: int) -> SingularityApproximation:

@@ -126,6 +126,14 @@ class TestLeadingTermApproximation:
             rel = abs((singularity._log_binomial(n, m) - exact) / exact)
         assert rel <= 1e-14
 
+    @pytest.mark.parametrize("n,m", [(10**9, 1001), (10**9, 10**9)])
+    def test_log_binomial_past_exact_cap(self, n, m):
+        # Past the cap the exact integer would take up to hours.
+        with mpmath.workdps(40):
+            exact = mpmath.log(mpmath.binomial(n + m, m))
+            rel = abs((singularity._log_binomial(n, m) - exact) / exact)
+        assert rel <= 1e-11
+
     def test_expected_sizes_close_to_exact(self):
         value = singularity.expected_sizes_with_multiplicity_singularity(800, 1)
         exact = float(series.expected_sizes_with_multiplicity(800, 1))
