@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 NEWTON_MAX_K = 40
 _RESIDUAL_TOL = 1e-12
-_LOG_BINOMIAL_EXACT_MAX = 1000  # math.comb(10**9 + 1000, 1000) takes 0.8 ms
+# math.comb(10**9 + 1000, 1000) takes 0.8 ms (Python 3.11, 2-CPU x86-64 VM).
+_LOG_BINOMIAL_EXACT_MAX = 1000
 
 
 class NumericalInstabilityError(RuntimeError):
