@@ -95,7 +95,7 @@ def parse_trials(text: str) -> int:
 
 
 def parse_workers(text: str) -> int:
-    """Worker-process count, at least 1."""
+    """Worker-thread count, at least 1."""
     workers = int(text)
     if workers < 1:
         raise argparse.ArgumentTypeError("workers must be >= 1")

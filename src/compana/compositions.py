@@ -4,13 +4,13 @@ A composition of ``n`` is an ordered tuple of positive integers summing to
 ``n``; there are ``2**(n-1)`` of them.  Its multiplicity profile records how
 many parts each size has.
 
-The module provides ground-truth enumeration up to a cap on ``n`` (25 by
-default, ``COMPANA_ENUM_CAP`` overrides it), exact rational event
-probabilities and expected sizes from one walk over that enumeration, and
-seeded Monte Carlo estimators that remain practical for very large ``n`` (a
-profile of a uniform composition of ``n = 10**6`` is sampled in a few dozen
-vectorized draws of part-size counts rather than by materializing ~n/2
-parts).
+The module provides exact rational event probabilities and expected sizes
+up to a cap on ``n`` (25 by default, ``COMPANA_ENUM_CAP`` overrides it), from
+one walk over the partitions of ``n`` that weighs each by the number of
+compositions that reorder it, and seeded Monte Carlo estimators that remain
+practical for very large ``n`` (a profile of a uniform composition of
+``n = 10**6`` is sampled in a few dozen vectorized draws of part-size counts
+rather than by materializing ~n/2 parts).
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
-
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 25
@@ -77,47 +75,41 @@ def _check_cap(n: int) -> None:
     cap = enumeration_cap()
     if n > cap:
         raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap of {cap} "
-            f"(2**{n - 1} compositions); raise {ENUM_CAP_ENV_VAR} to override"
+            f"n={n} exceeds the enumeration cap of {cap}; "
+            f"set {ENUM_CAP_ENV_VAR} to a larger cap to override"
         )
-
-
-def enumerate_compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every composition of ``n`` exactly once (2**(n-1) of them).
-
-    Refuses n above the enumeration cap (default 25, COMPANA_ENUM_CAP
-    overrides); the worst case is ~16M tuples.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_cap(n)
-    for mask in range(1 << (n - 1)):
-        parts = []
-        prev = 0
-        m = mask
-        while m:
-            cut = (m & -m).bit_length()  # 1-based position of lowest set bit
-            parts.append(cut - prev)
-            prev = cut
-            m &= m - 1
-        parts.append(n - prev)
-        yield tuple(parts)
 
 
 def _profile_census(n: int) -> Counter:
     """Multiplicity profiles of the compositions of ``n``, each with the
     number of compositions that have it.
 
-    One walk over all 2**(n-1) compositions tallies their sorted parts;
-    there are few such partitions (297 at n = 17), so the profiles and every
-    statistic read from them stay off the hot loop.
+    Walks the partitions of ``n`` (297 at n = 17, against 2**16
+    compositions): part sizes in increasing order, each with a multiplicity
+    c >= 1.  A partition with multiplicities (c_k) and p = sum c_k parts is
+    the sorted form of p! / prod c_k! compositions, all with its profile.
     """
-    partitions: Counter = Counter()
-    for parts in enumerate_compositions(n):
-        partitions[tuple(sorted(parts))] += 1
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_cap(n)
+    factorials = [1] * (n + 1)
+    for i in range(1, n + 1):
+        factorials[i] = factorials[i - 1] * i
     census: Counter = Counter()
-    for partition, count in partitions.items():
-        census[tuple(sorted(Counter(partition).values()))] += count
+    mults: list[int] = []
+
+    def walk(rest: int, smallest: int, parts: int, orderings: int) -> None:
+        # orderings = product of c! over the sizes chosen so far.
+        if rest == 0:
+            census[tuple(sorted(mults))] += factorials[parts] // orderings
+            return
+        for k in range(smallest, rest + 1):
+            for c in range(1, rest // k + 1):
+                mults.append(c)
+                walk(rest - k * c, k + 1, parts + c, orderings * factorials[c])
+                mults.pop()
+
+    walk(n, 1, 0, 1)
     return census
 
 
@@ -147,14 +139,14 @@ def exact_event_probability(n: int, m: int) -> Fraction:
 
 def exact_event_probabilities(n: int) -> dict[int, Fraction]:
     """exact_event_probability for every m = 1..n at which it is nonzero,
-    in increasing m, from a single walk over the compositions."""
+    in increasing m, from a single walk over the partitions."""
     census = _profile_census(n)
     return {m: p for m in range(1, n + 1) if (p := _event_probability(census, n, m))}
 
 
 def exact_expected_sizes_with_multiplicity(n: int, m: int) -> Fraction:
     """Exact expected number of part sizes with multiplicity ``m``, averaged
-    over all compositions of ``n`` by brute force (enumeration route)."""
+    over all compositions of ``n`` (enumeration route)."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     census = _profile_census(n)
@@ -257,16 +249,16 @@ def _distinct_hist_worker(args: tuple[int, int, int, int]) -> np.ndarray:
 
 
 def _run_workers(worker_fn, tasks: list, workers: int) -> list:
-    """Run worker tasks, in parallel when asked; results in task order."""
+    """Run worker tasks, on threads when asked; results in task order.
+
+    The threads overlap because numpy's hypergeometric draws release the
+    GIL; each task draws from its own substream, so the results equal a
+    serial run's.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [worker_fn(t) for t in tasks]
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            return list(pool.map(worker_fn, tasks))
-    except OSError:
-        # Sandboxed environments may forbid subprocesses; the serial path
-        # consumes the same substreams and yields identical results.
-        return [worker_fn(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        return list(pool.map(worker_fn, tasks))
 
 
 def mc_event_probability(

@@ -53,36 +53,52 @@ class TestBitsToComposition:
 
 
 class TestEnumeration:
+    """The brute-force oracle lists every composition once; the library's
+    exact routes refuse n above the cap before any work."""
+
+    EXACT_ROUTES = (
+        lambda n: comps.exact_event_probability(n, 1),
+        comps.exact_event_probabilities,
+        lambda n: comps.exact_expected_sizes_with_multiplicity(n, 1),
+    )
+
     def test_n5_matches_display_list(self):
-        assert set(comps.enumerate_compositions(5)) == COMPOSITIONS_OF_FIVE
+        assert set(brute_force_compositions(5)) == COMPOSITIONS_OF_FIVE
 
     def test_n1(self):
-        assert list(comps.enumerate_compositions(1)) == [(1,)]
+        assert brute_force_compositions(1) == [(1,)]
 
     def test_n3(self):
-        assert set(comps.enumerate_compositions(3)) == {(3,), (2, 1), (1, 2), (1, 1, 1)}
-        assert len(list(comps.enumerate_compositions(3))) == 4
+        assert set(brute_force_compositions(3)) == {(3,), (2, 1), (1, 2), (1, 1, 1)}
+        assert len(brute_force_compositions(3)) == 4
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_counts_and_uniqueness(self, n):
-        items = list(comps.enumerate_compositions(n))
+        items = brute_force_compositions(n)
         assert len(items) == 1 << (n - 1)
         assert len(set(items)) == len(items)
 
     def test_cap_refusal(self):
-        with pytest.raises(comps.EnumerationCapError, match="cap"):
-            list(comps.enumerate_compositions(26))
+        for route in self.EXACT_ROUTES:
+            with pytest.raises(comps.EnumerationCapError, match="cap"):
+                route(26)
 
     def test_cap_parameter(self):
-        # The cap is checked before the first composition is built.
-        with pytest.raises(comps.EnumerationCapError):
-            next(comps.enumerate_compositions(26))
+        # The message states the cap and how to override it.
+        for route in self.EXACT_ROUTES:
+            with pytest.raises(comps.EnumerationCapError) as info:
+                route(26)
+            message = str(info.value)
+            assert str(comps.DEFAULT_ENUMERATION_CAP) in message
+            assert comps.ENUM_CAP_ENV_VAR in message
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(comps.ENUM_CAP_ENV_VAR, "6")
         assert comps.enumeration_cap() == 6
-        with pytest.raises(comps.EnumerationCapError):
-            list(comps.enumerate_compositions(7))
+        for route in self.EXACT_ROUTES:
+            with pytest.raises(comps.EnumerationCapError):
+                route(7)
+            assert route(6) is not None
         monkeypatch.delenv(comps.ENUM_CAP_ENV_VAR)
         assert comps.enumeration_cap() == comps.DEFAULT_ENUMERATION_CAP
 
@@ -103,7 +119,7 @@ class TestMultiplicityProfile:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_profile_invariants(self, n):
-        for parts in comps.enumerate_compositions(n):
+        for parts in brute_force_compositions(n):
             profile = multiplicity_profile(parts)
             assert sum(k * v for k, v in profile.items()) == n
             assert sum(profile.values()) == len(parts)
@@ -144,6 +160,17 @@ class TestExactEventProbability:
     def test_every_m_respects_cap(self):
         with pytest.raises(comps.EnumerationCapError):
             comps.exact_event_probabilities(26)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_census_against_brute_force(self, n):
+        census = comps._profile_census(n)
+        assert sum(census.values()) == 1 << (n - 1)
+        every_m = comps.exact_event_probabilities(n)
+        for m in range(1, n + 1):
+            assert every_m.get(m, 0) == event_probability_by_enumeration(n, m)
+
+    def test_total_probability_one_at_cap(self):
+        assert sum(comps.exact_event_probabilities(comps.DEFAULT_ENUMERATION_CAP).values()) == 1
 
 
 class TestSampling:
@@ -243,6 +270,25 @@ class TestMonteCarloEstimator:
             with pytest.raises(ValueError, match=str(comps.MC_MAX_N)):
                 sampler(comps.MC_MAX_N + 1)
             assert sampler(comps.MC_MAX_N) is not None
+
+
+class TestWorkerPool:
+    """Pooled workers give what their tasks give when run one after another."""
+
+    @staticmethod
+    def serial(worker_fn, tasks, workers):
+        return [worker_fn(t) for t in tasks]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_equals_serial_run(self, monkeypatch, workers):
+        runs = []
+        for run_workers in (comps._run_workers, self.serial):
+            monkeypatch.setattr(comps, "_run_workers", run_workers)
+            estimate = comps.mc_event_probability(10**6, 2, trials=3001, seed=17, workers=workers)
+            hist = comps.distinct_size_histogram(10**6, trials=3001, seed=17, workers=workers)
+            runs.append((estimate, hist.tolist()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].workers == workers
 
 
 @settings(max_examples=40, deadline=None)
