@@ -21,6 +21,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 25

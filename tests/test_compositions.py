@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ class TestBitsToComposition:
 
 class TestEnumeration:
     """The brute-force oracle lists every composition once; the library's
-    exact routes refuse n above the cap before any work."""
+    exact routes refuse n above the cap."""
 
     EXACT_ROUTES = (
         lambda n: comps.exact_event_probability(n, 1),
@@ -165,6 +166,10 @@ class TestExactEventProbability:
     def test_census_against_brute_force(self, n):
         census = comps._profile_census(n)
         assert sum(census.values()) == 1 << (n - 1)
+        assert census == Counter(
+            tuple(sorted(multiplicity_profile(parts).values()))
+            for parts in brute_force_compositions(n)
+        )
         every_m = comps.exact_event_probabilities(n)
         for m in range(1, n + 1):
             assert every_m.get(m, 0) == event_probability_by_enumeration(n, m)
@@ -288,7 +293,15 @@ class TestWorkerPool:
             hist = comps.distinct_size_histogram(10**6, trials=3001, seed=17, workers=workers)
             runs.append((estimate, hist.tolist()))
         assert runs[0] == runs[1]
-        assert runs[0][0].workers == workers
+
+    def test_results_in_task_order(self):
+        # The first task finishes last.
+        def task(delay):
+            time.sleep(delay)
+            return delay
+
+        delays = [0.05, 0.0, 0.01, 0.0]
+        assert comps._run_workers(task, delays, workers=3) == delays
 
 
 @settings(max_examples=40, deadline=None)
