@@ -13,8 +13,9 @@ Coefficients come from one of two routes, chosen from the denominator's
 degree d, its number of nonzero terms and n: the linear recurrence induced
 by the denominator (a ring buffer of d big integers, one product per nonzero
 term per step), or ``x^n`` raised modulo the recurrence's characteristic
-polynomial (about d^2 products per bit of n), which wins for small d and
-large n.  The power engine is a midpoint-radius one: at 0 fractional bits it
+polynomial (one square per bit of n: d(d+1)/2 products of narrow
+coefficients, about d^1.6 of wide ones, which are split Karatsuba-style
+into three half-size squares), which wins for small d and large n.  The power engine is a midpoint-radius one: at 0 fractional bits it
 is exact and serves the coefficients; at 160 bits, against the polynomial
 scaled by 2^-i, it gives the certified intervals that the window bounds use
 from n = 2000 on instead of n-bit coefficients, so they stay rigorous.
@@ -37,18 +38,35 @@ try:
 except ImportError:  # gmpy2 is optional: plain int gives the same results, slower
     mpz = int
 
-# Route rule: the characteristic-polynomial power (about d^2 products per
-# bit of n) beats the recurrence (one product per nonzero denominator term
-# past z^0 per step, nnz of them) while d^2 / nnz <= min(n / 6, n - 80, 250).
-# Measured crossovers of d^2 / nnz (Python 3.11 plain ints, 2-CPU x86-64
-# VM): ~30 at n = 200, ~100 at 500, ~200 at 1000, ~230 at 2000, ~260 at
-# 5000, ~350 at 20 000.  Below n ~ 80 the recurrence wins even for d^2 / nnz
-# = 2 to 12 (d = 2 to 8), whose crossovers lie at n ~ 60 to 100; the n - 80
-# term sends them to the power from n = 82 to 92 and changes no route from
-# n = 95 on.  The rule implies n >= 6d.
-_POWMOD_N_PER_D2 = 6
+# Route rule: the characteristic-polynomial power (d^2 products per bit of n
+# with narrow coefficients, about d^1.6 once the split square takes over)
+# beats the recurrence (one product per nonzero denominator term past z^0
+# per step, nnz of them) while d^2 / nnz <= min((n - 80) / 4, 8 sqrt(n)).
+# Measured crossovers of d^2 / nnz, the power against the recurrence on
+# (k, m) cells with d = 2..160 (Python 3.11 plain ints, 2-CPU x86-64 VM):
+# ~4 at n = 95, ~8 at 100, ~12 at 120, ~17 at 150, ~30 at 200, ~50 at 300,
+# ~120 at 500, ~230 at 1000, ~400 at 2000, ~450-650 at 3500, ~510-650 at
+# 5000, ~600-800 at 8000 and ~800-1050 at 12 000, the lower figure for
+# m = 0 (nnz = 3), the higher for m >= 1.  The rule implies n >= 4d + 80.
+_POWMOD_N_PER_D2 = 4
 _POWMOD_N_FLOOR = 80
-_POWMOD_MAX_D2_PER_TERM = 250
+_POWMOD_D2_PER_ROOT_N = 8
+
+# Squaring in the power engine: a list of at least _SQUARE_SPLIT_MIN_LEN
+# coefficients whose length times the bit length of its widest coefficient
+# reaches _SQUARE_SPLIT_MIN_LEN_BITS is squared by splitting it in halves
+# (three half-size squares, not four), a smaller one term by term.  Measured
+# one split level against the term-by-term square (Python 3.11 plain ints,
+# 2-CPU x86-64 VM, dense signed coefficients), the split wins from about
+# 1500 bits at 4 terms, 1000-1500 at 6, 1000 at 8, 500 at 10-12, 400 at 16,
+# 200 at 32 and under 100 at 64, with length x bits near 6000-8000
+# throughout; at 3 terms it saves no product.  Over the 218 power-route
+# extractions of the exact-coeff benchmark's seeds 1 and 2, thresholds of
+# 6144, 8192 and 12288 took the same time within noise, 10-20% less than a
+# switch at 12 terms and 512 bits and 40-50% less than the term-by-term
+# square alone.
+_SQUARE_SPLIT_MIN_LEN = 4
+_SQUARE_SPLIT_MIN_LEN_BITS = 8192
 
 # Window bounds: up to this n every term is exact; above it the upper tail
 # past high + _WINDOW_TAIL_TERMS is replaced by a closed-form majorant, and
@@ -212,21 +230,49 @@ def _interval_reduce(mid: list, rad: list, den: list[tuple[int, int, int]], d: i
     return mid[:d], rad[:d]
 
 
+def _poly_square(a: list) -> list:
+    """Coefficients of the square of the polynomial with coefficients a.
+
+    A long or wide list is split as lo + x^h hi, h = ceil(len/2), into three
+    half-size squares: a^2 = lo^2 + x^h ((lo + hi)^2 - lo^2 - hi^2)
+    + x^(2h) hi^2 (Karatsuba).  Otherwise each product a_i a_j, i <= j, is
+    taken once.
+    """
+    size = len(a)
+    if (
+        size >= _SQUARE_SPLIT_MIN_LEN
+        and size * max(map(abs, a)).bit_length() >= _SQUARE_SPLIT_MIN_LEN_BITS
+    ):
+        h = (size + 1) // 2
+        lo, hi = a[:h], a[h:]
+        low, high = _poly_square(lo), _poly_square(hi)
+        # lo has one more entry than hi when size is odd; it passes through.
+        middle = _poly_square([x + y for x, y in zip(lo, hi)] + lo[len(hi):])
+        out = low + [0] * (2 * size - 1 - len(low))
+        for i, v in enumerate(middle):
+            out[h + i] += v - low[i] - (high[i] if i < len(high) else 0)
+        for i, v in enumerate(high):
+            out[2 * h + i] += v
+        return out
+    sq = [0] * (2 * size - 1)
+    for i, x in enumerate(a):
+        if x:
+            sq[2 * i] += x * x
+            x2 = x << 1
+            for j in range(i + 1, size):
+                y = a[j]
+                if y:
+                    sq[i + j] += x2 * y
+    return sq
+
+
 def _interval_square_mod(
     mid: list, rad: list, den: list[tuple[int, int, int]], d: int, bits: int
 ):
     """Square of an interval vector at scale 2^bits modulo the characteristic
     polynomial given by den, back at scale 2^bits."""
     size = 2 * d - 1
-    sq = [0] * size
-    for i, a in enumerate(mid):
-        if a:
-            sq[2 * i] += a * a
-            a2 = a << 1
-            for j in range(i + 1, d):
-                b = mid[j]
-                if b:
-                    sq[i + j] += a2 * b
+    sq = _poly_square(mid)
     # |x_i x_j - m_i m_j| <= |m_i| r_j + r_i |m_j| + r_i r_j; summed over the
     # ordered pairs with i + j = k this is sum (2|m_i| + r_i) r_j.
     err = [0] * size
@@ -274,15 +320,15 @@ def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
     """Exact coefficient of z^n in the power series of the rational function.
 
     Runs the characteristic-polynomial power when the numerator degree is
-    below the denominator degree d and d^2 <= nnz * min(n / 6, n - 80, 250),
-    nnz being the denominator's nonzero terms past z^0; else the linear
-    recurrence.
+    below the denominator degree d and d^2 <= nnz * min((n - 80) / 4,
+    8 sqrt(n)), nnz being the denominator's nonzero terms past z^0; else the
+    linear recurrence.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     d = spec.denominator_degree
     terms = d - spec.denominator.count(0)
-    limit = min(n // _POWMOD_N_PER_D2, n - _POWMOD_N_FLOOR, _POWMOD_MAX_D2_PER_TERM)
+    limit = min((n - _POWMOD_N_FLOOR) // _POWMOD_N_PER_D2, _POWMOD_D2_PER_ROOT_N * math.isqrt(n))
     if spec.numerator_degree < d and d * d <= limit * terms:
         return _extract_by_powmod(spec, n)
     return _extract_by_recurrence(spec, n)

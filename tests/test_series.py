@@ -106,7 +106,9 @@ class TestExtractCoefficient:
 
     @pytest.mark.parametrize(
         "n,k,m",
-        [(500, 3, 0), (1000, 7, 0), (2357, 20, 0), (800, 4, 2), (1500, 2, 1), (64, 1, 0)],
+        # (8000, 14, 3): d = 60, whose widest squares split five levels deep
+        # (60 terms down to 2), the lists of 15, 5 and 3 terms with an odd tail.
+        [(500, 3, 0), (1000, 7, 0), (2357, 20, 0), (800, 4, 2), (1500, 2, 1), (64, 1, 0), (8000, 14, 3)],
     )
     def test_powmod_matches_recurrence(self, n, k, m):
         spec = series.build_multiplicity_gf(k, m)
@@ -124,6 +126,22 @@ class TestExtractCoefficient:
         _, rad = series._power_of_x(n, den, spec.denominator_degree, 0)
         assert not any(rad)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 70),
+        st.sampled_from((8, 64, 300, 2000, 6000)),
+        st.sampled_from((0.0, 0.3, 0.8)),
+        st.randoms(use_true_random=False),
+    )
+    def test_poly_square_matches_double_loop(self, size, width, zeros, rnd):
+        # Widths on both sides of the split switch: 70 terms of 6000 bits
+        # halve down to lists of 2 and 3, 70 terms of 64 bits never split.
+        a = [
+            0 if rnd.random() < zeros else rnd.choice((-1, 1)) * rnd.getrandbits(width)
+            for _ in range(size)
+        ]
+        assert series._poly_square(a) == list(poly_mul(a, a))
+
     @pytest.mark.parametrize(
         "n,k,m,route",
         [
@@ -131,9 +149,13 @@ class TestExtractCoefficient:
             (500, 100, 1, "_extract_by_recurrence"),
             (24_000, 14, 3, "_extract_by_powmod"),
             (13_000, 1, 1, "_extract_by_powmod"),
-            (3, 2, 0, "_extract_by_recurrence"),  # n < 6d
+            (3, 2, 0, "_extract_by_recurrence"),  # n < 4d + 80
             (16, 1, 0, "_extract_by_recurrence"),  # below the n - 80 floor
             (50, 1, 1, "_extract_by_recurrence"),
+            # Moved by the split square: d^2 / nnz = 450 <= 8 sqrt(n) ...
+            (7439, 29, 1, "_extract_by_powmod"),
+            # ... and 16.3 > (n - 80) / 4, where the recurrence is faster.
+            (120, 6, 0, "_extract_by_recurrence"),
         ],
     )
     def test_route(self, monkeypatch, n, k, m, route):
