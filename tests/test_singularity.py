@@ -130,6 +130,27 @@ class TestLeadingTermApproximation:
             rel = abs((singularity._log_binomial(n, m) - exact) / exact)
         assert rel <= tol
 
+    @pytest.mark.parametrize("n", [10**5, 10**7, 10**9])
+    def test_decay_term_against_mpmath(self, n):
+        # log (2 rho)^(-n), taken from the double rho - 1/2, was off by
+        # 4.4e-12 relative at k = 14, 1.4e-8 at k = 30 and wholly from k = 53
+        # on; the whole estimate carries that error times the log.
+        m = 1
+        for k in range(1, 61):
+            rho = singularity.solve_dominant_root(k).value
+            log_decay = singularity._log_decay(n, k, rho)
+            value = singularity.prob_multiplicity_singularity(n, k, m).value
+            with mpmath.workdps(40):
+                z = mpmath.findroot(
+                    lambda z: 1 - 2 * z + z**k * (1 - z), mpmath.mpf(0.5) + mpmath.mpf(2) ** (-k - 2)
+                )
+                exact_log = -n * mpmath.log(2 * z)
+                assert abs((log_decay - exact_log) / exact_log) <= 1e-13, k
+                qprime = -2 + k * z ** (k - 1) - (k + 1) * z**k
+                exact = (n + 1) * 2 * z**k * (1 - z) ** 2 / (z * qprime) ** 2 * mpmath.exp(exact_log)
+                if exact > 1e-300:
+                    assert abs(value - exact) / exact <= 1e-13 + 1e-15 * abs(log_decay), k
+
     def test_expected_sizes_close_to_exact(self):
         value = singularity.expected_sizes_with_multiplicity_singularity(800, 1)
         exact = float(series.expected_sizes_with_multiplicity(800, 1))
