@@ -15,10 +15,11 @@ by the denominator (a ring buffer of d big integers, one product per nonzero
 term per step), or ``x^n`` raised modulo the recurrence's characteristic
 polynomial (one square per bit of n: d(d+1)/2 products of narrow
 coefficients, about d^1.6 of wide ones, which are split Karatsuba-style
-into three half-size squares), which wins for small d and large n.  The power engine is a midpoint-radius one: at 0 fractional bits it
-is exact and serves the coefficients; at 160 bits, against the polynomial
-scaled by 2^-i, it gives the certified intervals that the window bounds use
-from n = 2000 on instead of n-bit coefficients, so they stay rigorous.
+into three half-size squares), which wins for small d and large n.  The
+power engine is a midpoint-radius one: at 0 fractional bits it is exact and
+serves the coefficients; at 160 bits, against the polynomial scaled by
+2^-i, it gives the certified intervals that the window bounds use from
+n = 2000 on instead of n-bit coefficients, so they stay rigorous.
 
 The expected number of sizes with multiplicity m sums the counts over
 k = 1..n/m.  Only the sizes with m k^3 < 2n are extracted; every larger
@@ -38,8 +39,8 @@ try:
 except ImportError:  # gmpy2 is optional: plain int gives the same results, slower
     mpz = int
 
-# Route rule: the characteristic-polynomial power (d^2 products per bit of n
-# with narrow coefficients, about d^1.6 once the split square takes over)
+# Route rule: the characteristic-polynomial power (d(d+1)/2 products per bit
+# of n with narrow coefficients, about d^1.6 once the split square takes over)
 # beats the recurrence (one product per nonzero denominator term past z^0
 # per step, nnz of them) while d^2 / nnz <= min((n - 80) / 4, 8 sqrt(n)).
 # Measured crossovers of d^2 / nnz, the power against the recurrence on

@@ -119,13 +119,14 @@ def _log_decay(n: int, k: int, rho: float) -> float:
     """log (2 rho)^(-n) = -n log1p(2 delta), delta = rho - 1/2, to nearly
     full relative precision.
 
-    The double rho - 1/2 keeps only the bits of rho below 1/2's ulp, so its
-    relative error grows like 2^k (1.4e-8 at k = 30, total from k = 53 on),
-    and n multiplies the log's absolute error.  One Newton step from it on
+    rho - 1/2 taken from the double rho keeps rho's absolute rounding error,
+    so as delta ~ 2^-(k+2) shrinks its relative error grows like 2^k
+    (1.4e-8 at k = 30; from k = 52 on rho rounds to 1/2), and n multiplies
+    the log's absolute error.  One Newton step from it on
     delta = 2^(-k-2) (1 + 2 delta)^k (1 - 2 delta), the kernel equation
     Q(1/2 + delta) = 0, reaches ~1e-16 relative for every k: the step
-    squares the start's relative error, and from k = 53 on, where delta
-    starts at 0, the equation is linear in delta to within k 2^-k.
+    squares the start's relative error, and where delta starts at 0 the
+    equation is linear in delta to within k 2^-k.
     """
     delta = rho - 0.5
     image = math.ldexp(math.exp(k * math.log1p(2 * delta)) * (1 - 2 * delta), -k - 2)

@@ -133,7 +133,7 @@ class TestLeadingTermApproximation:
     @pytest.mark.parametrize("n", [10**5, 10**7, 10**9])
     def test_decay_term_against_mpmath(self, n):
         # log (2 rho)^(-n), taken from the double rho - 1/2, was off by
-        # 4.4e-12 relative at k = 14, 1.4e-8 at k = 30 and wholly from k = 53
+        # 4.4e-12 relative at k = 14, 1.4e-8 at k = 30 and wholly from k = 52
         # on; the whole estimate carries that error times the log.
         m = 1
         for k in range(1, 61):
