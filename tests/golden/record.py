@@ -42,6 +42,11 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("prob", "--n", "300", "--k", "3", "--m", "1"),
     ("prob", "--n", "1e5", "--k", "14", "--m", "2", "--route", "singularity", "--precision", "17"),
     ("prob", "--n", "5", "--k", "7", "--m", "0", "--route", "both", "--format", "json"),
+    # prob on both sides of the coefficient route rule: large k, tiny n,
+    # and a middle cell.
+    ("prob", "--n", "5000", "--k", "100", "--m", "0"),
+    ("prob", "--n", "40", "--k", "1", "--m", "2"),
+    ("prob", "--n", "1200", "--k", "20", "--m", "1", "--route", "both"),
     # predict: the limit law and its fluctuation.
     ("predict", "--n", "1e6", "--m", "1"),
     ("predict", "--n", "1e9", "--m", "3", "--format", "json", "--precision", "17"),
@@ -72,6 +77,7 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("compare", "--n", "12,50", "--m", "2", "--trials", "1000", "--seed", "9", "--format", "json"),
     ("compare", "--n", "12,50", "--m", "2", "--trials", "1000", "--seed", "9", "--workers", "2"),
     ("compare", "--n", "1e5..4e5", "--m", "1", "--precision", "17"),
+    ("compare", "--n", "300,1500", "--m", "3", "--precision", "17"),
     # rho: both root methods.
     ("rho", "--k", "1"),
     ("rho", "--k", "12", "--format", "json"),
