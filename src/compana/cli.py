@@ -44,20 +44,29 @@ _MAX_COUNT_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 def parse_count(text: str) -> int:
     """Positive integer; scientific (1e6, 2.5e3) and power (10^6) forms
-    accepted.  Literals with more digits than Python's default int-to-str
-    limit are refused whatever limit the process runs under."""
+    accepted.  Counts with more digits than Python's default int-to-str
+    limit are refused whatever limit the process runs under; a power is
+    judged from its base and exponent before it is computed."""
     text = text.strip()
+    too_long = argparse.ArgumentTypeError(f"count has more than {_MAX_COUNT_DIGITS} digits")
     if sum(ch.isdigit() for ch in text) > _MAX_COUNT_DIGITS:
-        raise argparse.ArgumentTypeError(
-            f"count has more than {_MAX_COUNT_DIGITS} digits"
-        )
+        raise too_long
     try:
         return int(text)
     except ValueError:
         pass
     if "^" in text:
         base_text, _, exp_text = text.partition("^")
-        return int(base_text) ** int(exp_text)
+        base, exponent = int(base_text), int(exp_text)
+        if exponent < 0:
+            raise argparse.ArgumentTypeError(f"{text!r} has a negative exponent")
+        # Within one digit of the limit the power itself is small enough to test.
+        if abs(base) > 1 and exponent * math.log10(abs(base)) > _MAX_COUNT_DIGITS + 1:
+            raise too_long
+        value = base**exponent
+        if abs(value) >= 10**_MAX_COUNT_DIGITS:
+            raise too_long
+        return value
     value = float(text)
     if not value.is_integer() or abs(value) > 2**53:
         raise argparse.ArgumentTypeError(f"{text!r} is not an exactly-representable integer")
@@ -423,7 +432,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:  # EnumerationCapError too
+    # ValueError covers EnumerationCapError; OverflowError a count too large
+    # for a float, as in predict --n 10^400.
+    except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalInstabilityError as exc:

@@ -9,23 +9,21 @@ in the rational function
 Dividing by ``2**(n-1)`` gives the exact occurrence probability.  Everything
 here is integer/rational arithmetic; floats appear only in callers.
 
-Coefficients come from one of two routes, chosen from the denominator's
-degree d, its number of nonzero terms and n: the linear recurrence induced
-by the denominator (a ring buffer of d big integers, one product per nonzero
-term per step), or ``x^n`` raised modulo the recurrence's characteristic
-polynomial (one square per bit of n: d(d+1)/2 products of narrow
-coefficients, about d^1.6 of wide ones, which are split Karatsuba-style
-into three half-size squares), which wins for small d and large n.  The
-power engine is a midpoint-radius one: at 0 fractional bits it is exact and
-serves the coefficients; at 160 bits, against the polynomial scaled by
+A count comes from one of two routes, and count_with_multiplicity alone
+chooses between them:
+
+- the power: ``x^n`` raised modulo the characteristic polynomial of the
+  denominator, of degree d = (k+1)(m+1), then contracted onto the initial
+  window c_0..c_{d-1} (one square per bit of n: d(d+1)/2 products of narrow
+  coefficients, about d^1.6 of wide ones, which are split Karatsuba-style
+  into three half-size squares), cheap for small k;
+- inclusion-exclusion over marked parts equal to k, about (n/k)^2 / 2
+  small-by-big integer steps, cheap for large k.
+
+The power engine is a midpoint-radius one: at 0 fractional bits it is exact
+and serves the coefficients; at 160 bits, against the polynomial scaled by
 2^-i, it gives the certified intervals that the window bounds use from
 n = 2000 on instead of n-bit coefficients, so they stay rigorous.
-
-The expected number of sizes with multiplicity m sums the counts over
-k = 1..n/m.  Only the sizes with m k^3 < 2n are extracted; every larger
-size is counted by inclusion-exclusion over marked parts equal to k, in
-about (n/k)^2 / 2 small-by-big integer steps, so those sizes cost O(n^(5/3))
-steps together instead of one n-bit extraction each.
 """
 
 from __future__ import annotations
@@ -39,19 +37,20 @@ try:
 except ImportError:  # gmpy2 is optional: plain int gives the same results, slower
     mpz = int
 
-# Route rule: the characteristic-polynomial power (d(d+1)/2 products per bit
-# of n with narrow coefficients, about d^1.6 once the split square takes over)
-# beats the recurrence (one product per nonzero denominator term past z^0
-# per step, nnz of them) while d^2 / nnz <= min((n - 80) / 4, 8 sqrt(n)).
-# Measured crossovers of d^2 / nnz, the power against the recurrence on
-# (k, m) cells with d = 2..160 (Python 3.11 plain ints, 2-CPU x86-64 VM):
-# ~4 at n = 95, ~8 at 100, ~12 at 120, ~17 at 150, ~30 at 200, ~50 at 300,
-# ~120 at 500, ~230 at 1000, ~400 at 2000, ~450-650 at 3500, ~510-650 at
-# 5000, ~600-800 at 8000 and ~800-1050 at 12 000, the lower figure for
-# m = 0 (nnz = 3), the higher for m >= 1.  The rule implies n >= 4d + 80.
-_POWMOD_N_PER_D2 = 4
-_POWMOD_N_FLOOR = 80
-_POWMOD_D2_PER_ROOT_N = 8
+# Route rule: count_with_multiplicity counts by inclusion-exclusion when
+# (m + 1) k^2 >= _IE_SCALE * n^_IE_N_POWER, else by the power.  Fitted on
+# the 2171 cells of a grid over n = 16..20 000, k = 1..200, m = 0..5 that
+# took 0.1 ms or more under the earlier power-or-recurrence rule (Python
+# 3.11 plain ints, 2-CPU x86-64 VM; cells near the switch re-timed with the
+# routes interleaved).  The least grid k from which inclusion-exclusion
+# stays the cheaper, against the rule's switch, for m = 0..5: 14/12, 10/9,
+# 8/7, 6/6, 6/6, 5/5 at n = 512; 24/22, 17/15, 14/13, 12/11, 12/10, 10/9 at
+# 2000; 50/57, 35/40, 29/33, 29/29, 29/26, 24/23 at 20 000.  The chosen
+# route is within 1.3x of the cheaper one in all but 9 cells, each one grid
+# step from the switch (at most 1.9x, at n = 64), and the grid's cells take
+# 21 s in all, against 100 s under the earlier rule.
+_IE_SCALE = 0.7
+_IE_N_POWER = 0.85
 
 # Squaring in the power engine: a list of at least _SQUARE_SPLIT_MIN_LEN
 # coefficients whose length times the bit length of its widest coefficient
@@ -78,24 +77,14 @@ _WINDOW_EXACT_MAX_N = 512  # a majorant here moves printed bounds at 12 digits
 _WINDOW_BITS = 160
 _WINDOW_TAIL_TERMS = 12
 # Measured for n = 513..8000 (Python 3.11 plain ints, 2-CPU x86-64 VM), one
-# certified term against the exact count(n, j, 0): against the recurrence
-# (large j) the two cost the same near j = n/75; against the power route
+# certified term against the exact count(n, j, 0): against the power route
 # (small j) the exact term is cheaper below n = 2000 (1.4-1.9x at
-# n = 513..1400, 0.9-1.4x at 2000) and dearer from n = 4000 (0.4-0.95x).
+# n = 513..1400, 0.9-1.4x at 2000) and dearer from n = 4000 (0.4-0.95x);
+# against inclusion-exclusion (larger j) the two cost the same near
+# j = n/90 (j = 22-24 at n = 2000, 25 at 2250, 27 at 2500, 30 at 3000), and
+# the certified term costs 1.1-2.4x the exact one at j = n/90..n/60.
 _WINDOW_CERTIFIED_MIN_N = 2000
-_WINDOW_CERTIFIED_N_PER_J = 75
-
-# Expected sizes: a size k with m k^3 >= _IE_K3_PER_N * n is counted by
-# inclusion-exclusion (about (n/k)^2 / 2 small-by-big steps), a smaller one
-# by extract_coefficient.  Measured crossovers, the least k where the former
-# is the cheaper (Python 3.11 plain ints, 2-CPU x86-64 VM): for m = 1, 7 at
-# n = 300, 10 at 600, 13 at 1000, 15 at 1500, 18 at 2500, 17-19 at 4000 and
-# 22 at 6000; m = 2: 6, 8, 10, 13, 16, 16, 17; m = 3: 5, 7, 9, 10, 12, 15, 15.
-# The rule's switch lies within two of each.  Timed whole, the sum is within
-# 4% of the one at the best switch for n = 1000..4000 (within the +-15% noise
-# of these 5-20 ms sums below), and up to 2.2x faster than a switch at
-# sqrt(n)/2 (m = 3, n = 4000).
-_IE_K3_PER_N = 2
+_WINDOW_CERTIFIED_N_PER_J = 90
 
 
 @dataclass(frozen=True)
@@ -103,7 +92,9 @@ class RationalFunctionSpec:
     """Integer-coefficient numerator/denominator, ascending degree order.
 
     The denominator's constant term must be 1 so that the coefficient
-    recurrence c_i = num_i - sum_{j>=1} den_j * c_{i-j} is well posed.
+    recurrence c_i = num_i - sum_{j>=1} den_j * c_{i-j} is well posed, and
+    the numerator's degree must be below the denominator's, so that the
+    recurrence is homogeneous past the initial window c_0..c_{d-1}.
     """
 
     numerator: tuple[int, ...]
@@ -114,6 +105,8 @@ class RationalFunctionSpec:
             raise ValueError("denominator must have constant term 1")
         if not self.numerator:
             raise ValueError("numerator must be non-empty")
+        if len(self.numerator) >= len(self.denominator):
+            raise ValueError("numerator degree must be below the denominator degree")
 
     @property
     def numerator_degree(self) -> int:
@@ -171,13 +164,13 @@ def build_multiplicity_gf(k: int, m: int) -> RationalFunctionSpec:
 
 
 def _recurrence_ring(spec: RationalFunctionSpec, stop: int) -> list:
-    """Ring buffer of w big integers after running the recurrence up to
-    index stop - 1, w = the denominator degree or 1: slot i % w holds c_i
-    for stop - w <= i < stop (0 below index 0), so for stop = w the ring is
-    the initial window c_0..c_{w-1} in order."""
+    """Ring buffer of the d big integers, d the denominator degree, after
+    running the recurrence up to index stop - 1: slot i % d holds c_i for
+    stop - d <= i < stop (0 below index 0), so for stop = d the ring is the
+    initial window c_0..c_{d-1} in order."""
     num = spec.numerator
     den_nz = [(j, c) for j, c in enumerate(spec.denominator) if j and c]
-    width = max(1, spec.denominator_degree)
+    width = spec.denominator_degree
     window = [0] * width
     # Coefficients below the lowest numerator degree are identically zero.
     base = next((i for i, c in enumerate(num) if c), stop)
@@ -190,11 +183,6 @@ def _recurrence_ring(spec: RationalFunctionSpec, stop: int) -> list:
             v -= c * window[(i - j) % width]
         window[i % width] = v
     return window
-
-
-def _extract_by_recurrence(spec: RationalFunctionSpec, n: int) -> int:
-    ring = _recurrence_ring(spec, n + 1)
-    return ring[n % len(ring)]
 
 
 # The power engine works on interval vectors: two integer lists mid, rad,
@@ -308,9 +296,8 @@ def _power_of_x(n: int, den: list[tuple[int, int, int]], d: int, bits: int):
 
 def _extract_by_powmod(spec: RationalFunctionSpec, n: int) -> int:
     # The sequence obeys the homogeneous recurrence from index
-    # numerator_degree + 1 on, so for numerator_degree < d the exact x^n
-    # reduced against the characteristic polynomial contracts c_n onto the
-    # initial window c_0..c_{d-1}.
+    # numerator_degree + 1 <= d on, so the exact x^n reduced against the
+    # characteristic polynomial contracts c_n onto the initial window.
     d = spec.denominator_degree
     den = [(j, c, 0) for j, c in enumerate(spec.denominator) if j and c]
     power, _ = _power_of_x(n, den, d, 0)
@@ -318,29 +305,26 @@ def _extract_by_powmod(spec: RationalFunctionSpec, n: int) -> int:
 
 
 def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
-    """Exact coefficient of z^n in the power series of the rational function.
-
-    Runs the characteristic-polynomial power when the numerator degree is
-    below the denominator degree d and d^2 <= nnz * min((n - 80) / 4,
-    8 sqrt(n)), nnz being the denominator's nonzero terms past z^0; else the
-    linear recurrence.
-    """
+    """Exact coefficient of z^n in the power series of the rational function:
+    x^n modulo the denominator's characteristic polynomial, contracted onto
+    the initial window c_0..c_{d-1}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    d = spec.denominator_degree
-    terms = d - spec.denominator.count(0)
-    limit = min((n - _POWMOD_N_FLOOR) // _POWMOD_N_PER_D2, _POWMOD_D2_PER_ROOT_N * math.isqrt(n))
-    if spec.numerator_degree < d and d * d <= limit * terms:
-        return _extract_by_powmod(spec, n)
-    return _extract_by_recurrence(spec, n)
+    return _extract_by_powmod(spec, n)
 
 
 def count_with_multiplicity(n: int, k: int, m: int) -> int:
-    """Number of compositions of n in which size k has multiplicity m."""
+    """Number of compositions of n in which size k has multiplicity m.
+
+    Counted by inclusion-exclusion when (m + 1) k^2 >= 0.7 n^0.85 (large k),
+    else by extract_coefficient; the integer is the same either way.
+    """
     if n < 1 or k < 1 or m < 0:
         raise ValueError("need n, k >= 1 and m >= 0")
     if k * m > n:
         return 0
+    if (m + 1) * k * k >= _IE_SCALE * n**_IE_N_POWER:
+        return _count_by_inclusion_exclusion(n, k, m)
     return extract_coefficient(build_multiplicity_gf(k, m), n)
 
 
@@ -386,19 +370,10 @@ def _count_by_inclusion_exclusion(n: int, k: int, m: int) -> int:
 
 def expected_sizes_with_multiplicity(n: int, m: int) -> Fraction:
     """Exact expected number of part sizes having multiplicity m, i.e. the
-    sum of the occurrence probabilities over k = 1..n//m.
-
-    Sizes with m k^3 >= 2n are counted by inclusion-exclusion, the rest by
-    extract_coefficient; the integers are the same either way.
-    """
+    sum of the occurrence probabilities over k = 1..n//m."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    total = 0
-    for k in range(1, n // m + 1):
-        if m * k**3 >= _IE_K3_PER_N * n:
-            total += _count_by_inclusion_exclusion(n, k, m)
-        else:
-            total += count_with_multiplicity(n, k, m)
+    total = sum(count_with_multiplicity(n, k, m) for k in range(1, n // m + 1))
     return Fraction(total, 1 << (n - 1))
 
 
@@ -487,7 +462,7 @@ def window_lower_bound(n: int, low: int, high: int) -> Fraction:
     terms of the upper tail are summed; the remainder is replaced by its
     closed-form expected-occurrence majorant, which stays within
     2^-(high + 12) * O(n) of the true sum.  From n = 2000 on each term of
-    size ``j <= n/75`` is a certified interval (a 160-bit fixed-point power
+    size ``j <= n/90`` is a certified interval (a 160-bit fixed-point power
     with outward rounding, narrower than 2^-128 up to n = 10^9), and every
     other term is the exact term rounded outward; each tail takes the
     unfavourable end of every interval.

@@ -52,6 +52,36 @@ class TestParsing:
         finally:
             sys.set_int_max_str_digits(previous)
 
+    def test_power_past_the_digit_limit_is_refused(self):
+        limit = cli._MAX_COUNT_DIGITS
+        assert cli.parse_count(f"10^{limit - 1}") == 10 ** (limit - 1)
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_count(f"10^{limit}")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["predict", "--n", f"10^{limit}", "--m", "1"])
+        assert excinfo.value.code == 2
+
+    def test_negative_exponent_is_refused(self):
+        for text in ("0^-1", "10^-3"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli.parse_count(text)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("predict", "--n", "10^400", "--m", "1"),
+            ("rho", "--k", "10^400"),
+            ("mellin", "--n", "10^400", "--m", "1"),
+            ("compare", "--n", "10^400", "--m", "1"),
+            ("prob", "--n", "10^400", "--k", "3", "--m", "1", "--route", "singularity"),
+        ],
+    )
+    def test_count_too_large_for_a_float_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_count_list(self):
         assert cli.parse_count_list("10,100,1000") == [10, 100, 1000]
         assert cli.parse_count_list("100..1600") == [100, 200, 400, 800, 1600]

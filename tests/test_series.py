@@ -17,6 +17,13 @@ def poly_mul(a, b):
     return tuple(out)
 
 
+def recurrence_coefficient(spec, n):
+    """c_n by running the denominator's recurrence: the reference that the
+    two count routes are checked against."""
+    ring = series._recurrence_ring(spec, n + 1)
+    return ring[n % len(ring)]
+
+
 def prob_size_present(n, k):
     """Exact probability that a uniform composition of n has a part of
     size k: the window tests' reference."""
@@ -112,14 +119,14 @@ class TestExtractCoefficient:
     )
     def test_powmod_matches_recurrence(self, n, k, m):
         spec = series.build_multiplicity_gf(k, m)
-        assert series._extract_by_recurrence(spec, n) == series._extract_by_powmod(spec, n)
+        assert recurrence_coefficient(spec, n) == series._extract_by_powmod(spec, n)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 60), st.integers(0, 3), st.integers(0, 3000))
     def test_powmod_matches_recurrence_random(self, k, m, n):
-        # k <= 60 reaches both sides of the route rule (up to d = 244).
+        # Up to d = 244, n = 0 and n below d included.
         spec = series.build_multiplicity_gf(k, m)
-        exact = series._extract_by_recurrence(spec, n)
+        exact = recurrence_coefficient(spec, n)
         assert series._extract_by_powmod(spec, n) == exact
         assert series.extract_coefficient(spec, n) == exact
         den = [(j, c, 0) for j, c in enumerate(spec.denominator) if j and c]
@@ -145,30 +152,52 @@ class TestExtractCoefficient:
     @pytest.mark.parametrize(
         "n,k,m,route",
         [
-            (20_000, 200, 0, "_extract_by_recurrence"),
-            (500, 100, 1, "_extract_by_recurrence"),
+            (20_000, 200, 0, "_count_by_inclusion_exclusion"),
+            (500, 100, 1, "_count_by_inclusion_exclusion"),
             (24_000, 14, 3, "_extract_by_powmod"),
             (13_000, 1, 1, "_extract_by_powmod"),
-            (3, 2, 0, "_extract_by_recurrence"),  # n < 4d + 80
-            (16, 1, 0, "_extract_by_recurrence"),  # below the n - 80 floor
-            (50, 1, 1, "_extract_by_recurrence"),
-            # Moved by the split square: d^2 / nnz = 450 <= 8 sqrt(n) ...
-            (7439, 29, 1, "_extract_by_powmod"),
-            # ... and 16.3 > (n - 80) / 4, where the recurrence is faster.
-            (120, 6, 0, "_extract_by_recurrence"),
+            (3, 2, 0, "_count_by_inclusion_exclusion"),
+            (16, 1, 0, "_extract_by_powmod"),
+            (50, 1, 1, "_extract_by_powmod"),
+            (7439, 29, 1, "_count_by_inclusion_exclusion"),
+            (120, 6, 0, "_extract_by_powmod"),
+            # Either side of the switch (m + 1) k^2 = 0.7 n^0.85: 248 at
+            # n = 1000, 448 at n = 2000.
+            (1000, 15, 0, "_extract_by_powmod"),
+            (1000, 16, 0, "_count_by_inclusion_exclusion"),
+            (2000, 12, 2, "_extract_by_powmod"),
+            (2000, 13, 2, "_count_by_inclusion_exclusion"),
         ],
     )
     def test_route(self, monkeypatch, n, k, m, route):
-        for name in ("_extract_by_recurrence", "_extract_by_powmod"):
-            monkeypatch.setattr(series, name, lambda spec, n, name=name: name)
+        monkeypatch.setattr(series, "_extract_by_powmod", lambda spec, n: "_extract_by_powmod")
+        monkeypatch.setattr(
+            series, "_count_by_inclusion_exclusion", lambda n, k, m: "_count_by_inclusion_exclusion"
+        )
         assert series.count_with_multiplicity(n, k, m) == route
 
-    def test_numerator_degree_keeps_the_recurrence(self):
-        # (1 + 5z^3) / (1 - z): d = 1 is small, but the numerator reaches
-        # past it, so x^n against the initial window would be wrong.
-        spec = series.RationalFunctionSpec((1, 0, 0, 5), (1, -1))
-        assert series.extract_coefficient(spec, 10) == 6
-        assert series._extract_by_powmod(spec, 10) != 6
+    def test_numerator_degree_past_the_denominator_is_refused(self):
+        # (1 + 5z^3) / (1 - z): the numerator reaches past d = 1, so x^n
+        # against the initial window would be wrong.
+        with pytest.raises(ValueError):
+            series.RationalFunctionSpec((1, 0, 0, 5), (1, -1))
+        with pytest.raises(ValueError):
+            series.RationalFunctionSpec((1, 1), (1, -1))
+        assert series.extract_coefficient(series.RationalFunctionSpec((1,), (1, -1)), 10) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3000), st.integers(1, 60), st.integers(0, 5))
+    def test_routes_match_the_recurrence_random(self, n, k, m):
+        # Each route runs where it is cheap enough for a test: the power up
+        # to d = 120, inclusion-exclusion up to about 2 10^5 steps.
+        spec = series.build_multiplicity_gf(k, m)
+        exact = recurrence_coefficient(spec, n)
+        if n:
+            assert series.count_with_multiplicity(n, k, m) == exact
+        if spec.denominator_degree <= 120:
+            assert series._extract_by_powmod(spec, n) == exact
+        if n and (n // k) ** 2 <= 400_000:
+            assert series._count_by_inclusion_exclusion(n, k, m) == exact
 
 
 class TestProbabilities:
@@ -193,26 +222,29 @@ class TestProbabilities:
         assert series.expected_sizes_with_multiplicity(5, 5) == Fraction(1, 16)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 300), st.integers(0, 4), st.data())
-    def test_inclusion_exclusion_matches_extraction(self, n, m, data):
-        # k in 1..n + 1 reaches k m > n and r = n - kj = 0 (k | n); the first
-        # branch keeps k near the switch m k^3 = 2n, on both of its sides.
-        switch = round((series._IE_K3_PER_N * n / max(m, 1)) ** (1 / 3))
-        k = data.draw(st.one_of(st.integers(1, 2 * switch), st.integers(1, n + 1)), label="k")
+    @given(st.integers(1, 300), st.integers(0, 4), st.integers(1, 301))
+    def test_inclusion_exclusion_matches_extraction(self, n, m, k):
+        # k up to n + 1 reaches k m > n and r = n - kj = 0 (k | n).
         count = series._count_by_inclusion_exclusion(n, k, m)
-        assert count == series.count_with_multiplicity(n, k, m)
+        assert count == recurrence_coefficient(series.build_multiplicity_gf(k, m), n)
 
     @pytest.mark.parametrize(
         "n,k,m", [(10, 4, 3), (12, 4, 3), (300, 1, 0), (300, 1, 4), (300, 300, 1), (300, 150, 2)]
     )
     def test_inclusion_exclusion_edges(self, n, k, m):
         # k m > n; r = 0 at j = 3; k = 1; r = 0 at j = m = 1 and 2.
-        assert series._count_by_inclusion_exclusion(n, k, m) == series.count_with_multiplicity(n, k, m)
+        count = series._count_by_inclusion_exclusion(n, k, m)
+        assert count == recurrence_coefficient(series.build_multiplicity_gf(k, m), n)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_expected_sizes_equal_extraction_sum(self, m):
-        n = 1500
-        total = sum(series.count_with_multiplicity(n, k, m) for k in range(1, n // m + 1))
+        # The sum takes both routes (the switch is at k = 7..9); the
+        # recurrence is the reference for every term.
+        n = 600
+        total = sum(
+            recurrence_coefficient(series.build_multiplicity_gf(k, m), n)
+            for k in range(1, n // m + 1)
+        )
         assert series.expected_sizes_with_multiplicity(n, m) == Fraction(total, 1 << (n - 1))
 
     @pytest.mark.parametrize("n", [6, 9])
@@ -384,13 +416,13 @@ class TestCertifiedWindow:
         )
 
     def test_exact_terms_past_crossover(self):
-        # From n = 2000 on, 75 j <= n takes the certified interval, wider
+        # From n = 2000 on, 90 j <= n takes the certified interval, wider
         # than one unit at this scale; every other term takes the exact
         # coefficient, rounded outward.
         exponent = 220
         for n, j, certified in [
-            (1999, 1, False), (1999, 26, False), (2000, 1, True), (2000, 26, True),
-            (2000, 27, False), (4000, 53, True), (4000, 54, False), (1000, 999, False),
+            (1999, 1, False), (1999, 22, False), (2000, 1, True), (2000, 22, True),
+            (2000, 23, False), (4000, 44, True), (4000, 45, False), (1000, 999, False),
             (1000, 1000, False),
         ]:
             lo, hi = series._window_term_interval(n, j, exponent)
