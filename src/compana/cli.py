@@ -60,7 +60,8 @@ def parse_count(text: str) -> int:
         base, exponent = int(base_text), int(exp_text)
         if exponent < 0:
             raise argparse.ArgumentTypeError(f"{text!r} has a negative exponent")
-        # Within one digit of the limit the power itself is small enough to test.
+        # A float estimate of the digit count refuses a power far past the
+        # limit; one within a digit of it is cheap to compute and test exactly.
         if abs(base) > 1 and exponent * math.log10(abs(base)) > _MAX_COUNT_DIGITS + 1:
             raise too_long
         value = base**exponent

@@ -38,17 +38,15 @@ except ImportError:  # gmpy2 is optional: plain int gives the same results, slow
     mpz = int
 
 # Route rule: count_with_multiplicity counts by inclusion-exclusion when
-# (m + 1) k^2 >= _IE_SCALE * n^_IE_N_POWER, else by the power.  Fitted on
-# the 2171 cells of a grid over n = 16..20 000, k = 1..200, m = 0..5 that
-# took 0.1 ms or more under the earlier power-or-recurrence rule (Python
-# 3.11 plain ints, 2-CPU x86-64 VM; cells near the switch re-timed with the
-# routes interleaved).  The least grid k from which inclusion-exclusion
-# stays the cheaper, against the rule's switch, for m = 0..5: 14/12, 10/9,
-# 8/7, 6/6, 6/6, 5/5 at n = 512; 24/22, 17/15, 14/13, 12/11, 12/10, 10/9 at
-# 2000; 50/57, 35/40, 29/33, 29/29, 29/26, 24/23 at 20 000.  The chosen
-# route is within 1.3x of the cheaper one in all but 9 cells, each one grid
-# step from the switch (at most 1.9x, at n = 64), and the grid's cells take
-# 21 s in all, against 100 s under the earlier rule.
+# (m + 1) k^2 >= _IE_SCALE * n^_IE_N_POWER, else by the power.  Fitted on a
+# grid over n = 16..20 000, k = 1..200, m = 0..5 (Python 3.11 plain ints,
+# 2-CPU x86-64 VM; cells near the switch re-timed with the routes
+# interleaved).  The least grid k from which inclusion-exclusion stays the
+# cheaper, against the rule's switch, for m = 0..5: 14/12, 10/9, 8/7, 6/6,
+# 6/6, 5/5 at n = 512; 24/22, 17/15, 14/13, 12/11, 12/10, 10/9 at 2000;
+# 50/57, 35/40, 29/33, 29/29, 29/26, 24/23 at 20 000.  Of the 2171 cells
+# that take 0.1 ms or more, all but 9 run within 1.3x of the cheaper route;
+# those 9 lie one grid step from the switch (at most 1.9x, at n = 64).
 _IE_SCALE = 0.7
 _IE_N_POWER = 0.85
 

@@ -55,6 +55,9 @@ class TestParsing:
     def test_power_past_the_digit_limit_is_refused(self):
         limit = cli._MAX_COUNT_DIGITS
         assert cli.parse_count(f"10^{limit - 1}") == 10 ** (limit - 1)
+        # (10^(limit/2) - 1)^2 has exactly `limit` digits.
+        nines = "9" * (limit // 2)
+        assert cli.parse_count(f"{nines}^2") == int(nines) ** 2
         with pytest.raises(argparse.ArgumentTypeError):
             cli.parse_count(f"10^{limit}")
         with pytest.raises(SystemExit) as excinfo:
