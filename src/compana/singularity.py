@@ -28,7 +28,7 @@ class DominantRoot:
     bracket_lo: float
     bracket_hi: float
     residual: float
-    method: str  # "bisection+newton" or "series-expansion"
+    method: str  # "bisection+newton" (Newton to the bisection's double) or "series-expansion"
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,14 @@ def root_bracket(k: int) -> tuple[float, float]:
 def solve_dominant_root(k: int) -> DominantRoot:
     """Locate the unique kernel zero in (0, 1).
 
-    Q decreases on (0, 1), so bisection on the bracket is safe; Newton then
-    polishes to |Q| <= 1e-12.  Beyond k = 40 the root sits within
+    Newton from 1/2 + 2^-(k+2) (the bracket midpoint for k <= 3) runs until
+    a step stops moving x; a walk by single doubles then finds adjacent
+    a < b with Q(a) > 0 >= Q(b) in floats, and Newton polishes from their
+    midpoint to |Q| <= 1e-12.  Bisecting the bracket stops on the same
+    pair: near the root 1 - 2z is exact and falls by 2^-52 a double, far
+    more than the rounded z^k (1 - z) moves, so the float kernel changes
+    sign once.  The result is that bisection's to the bit, hence the method
+    name "bisection+newton".  Beyond k = 40 the root sits within
     O(k / 2^(2k)) of 1/2 + 2^-(k+2), below double resolution, so the series
     value is returned directly.
     """
@@ -67,22 +73,28 @@ def solve_dominant_root(k: int) -> DominantRoot:
     if k > NEWTON_MAX_K:
         x = 0.5 + 2.0 ** -(k + 2)
         return DominantRoot(k, x, lo, hi, abs(kernel_value(k, x)), "series-expansion")
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
+    x = 0.5 * (lo + hi) if k <= 3 else 0.5 + 2.0 ** -(k + 2)
+    for _ in range(100):
+        step = x - kernel_value(k, x) / kernel_derivative(k, x)
+        if step == x:
             break
-        if 1 - 2 * mid + mid**k * (1 - mid) > 0:  # kernel_value inlined: ~50 steps a call
-            a = mid
+        x = step
+    a, b = lo, hi
+    for _ in range(64):
+        if 1 - 2 * x + x**k * (1 - x) > 0:  # the bisection's test, kernel_value inlined
+            a, x = x, math.nextafter(x, 1.0)
         else:
-            b = mid
+            b, x = x, math.nextafter(x, 0.0)
+        if math.nextafter(a, 1.0) == b:
+            break
+    else:
+        raise NumericalInstabilityError(f"no kernel sign change within 64 doubles, k={k}")
     x = 0.5 * (a + b)
     for _ in range(100):
         q = kernel_value(k, x)
         if abs(q) <= 1e-15:
             break
-        step = q / kernel_derivative(k, x)
-        candidate = x - step
+        candidate = x - q / kernel_derivative(k, x)
         if not (lo < candidate < hi):
             candidate = 0.5 * (a + b)
         if q > 0:
@@ -146,21 +158,17 @@ def prob_multiplicity_singularity(n: int, k: int, m: int) -> SingularityApproxim
     """
     if n < 1 or k < 1 or m < 0:
         raise ValueError("need n, k >= 1 and m >= 0")
-    root = solve_dominant_root(k)
-    rho = root.value
+    value = _leading_term(n, k, m, solve_dominant_root(k).value, _log_binomial(n, m))
+    return SingularityApproximation(n=n, k=k, m=m, value=value)
+
+
+def _leading_term(n: int, k: int, m: int, rho: float, log_binom: float) -> float:
+    """The leading term above from rho and log C(n+m, m), for one k or the sum."""
     qprime = kernel_derivative(k, rho)
     log_p = k * m * math.log(rho) + (m + 1) * math.log1p(-rho)
-    log_binom = _log_binomial(n, m)
-    log_decay = _log_decay(n, k, rho)
-    log_value = (
-        log_binom
-        + math.log(2.0)
-        + log_p
-        - (m + 1) * math.log(rho * -qprime)
-        + log_decay
-    )
-    value = math.exp(log_value) if log_value > -745.0 else 0.0
-    return SingularityApproximation(n=n, k=k, m=m, value=value)
+    log_value = (log_binom + math.log(2.0) + log_p - (m + 1) * math.log(rho * -qprime)
+                 + _log_decay(n, k, rho))
+    return math.exp(log_value) if log_value > -745.0 else 0.0
 
 
 def expected_sizes_with_multiplicity_singularity(n: int, m: int) -> float:
@@ -168,13 +176,17 @@ def expected_sizes_with_multiplicity_singularity(n: int, m: int) -> float:
     multiplicity m: the leading-term probabilities summed over k."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
+    log_binom = _log_binomial(n, m)
     terms = []
+    peak = 0.0
     past_peak = math.log2(max(n, 2)) + 4
     for k in range(1, n // m + 1):
-        value = prob_multiplicity_singularity(n, k, m).value
+        rho = solve_dominant_root(k).value if k <= NEWTON_MAX_K else 0.5 + 2.0 ** -(k + 2)
+        value = _leading_term(n, k, m, rho, log_binom)
         terms.append(value)
+        peak = max(peak, value)
         # Past the peak near k = log2(n/m) successive terms shrink by at
         # least 2^-m, so the untouched tail is below twice the last term.
-        if k > past_peak and value < 1e-16 * max(terms):
+        if k > past_peak and value < 1e-16 * peak:
             break
     return math.fsum(terms)

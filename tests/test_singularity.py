@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -21,6 +22,70 @@ def bisect_root(k, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def bisection_root(k):
+    # The root finder before Newton: bisection to adjacent doubles, then
+    # the polish.  solve_dominant_root must return its fields exactly.
+    lo, hi = singularity.root_bracket(k)
+    if k > singularity.NEWTON_MAX_K:
+        x = 0.5 + 2.0 ** -(k + 2)
+        return (k, x, lo, hi, abs(singularity.kernel_value(k, x)), "series-expansion")
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if 1 - 2 * mid + mid**k * (1 - mid) > 0:
+            a = mid
+        else:
+            b = mid
+    x = 0.5 * (a + b)
+    for _ in range(100):
+        q = singularity.kernel_value(k, x)
+        if abs(q) <= 1e-15:
+            break
+        step = q / singularity.kernel_derivative(k, x)
+        candidate = x - step
+        if not (lo < candidate < hi):
+            candidate = 0.5 * (a + b)
+        if q > 0:
+            a = max(a, x)
+        else:
+            b = min(b, x)
+        if candidate == x:
+            break
+        x = candidate
+    return (k, x, lo, hi, abs(singularity.kernel_value(k, x)), "bisection+newton")
+
+
+def leading_term_before(n, k, m):
+    # prob_multiplicity_singularity's value as it was computed on its own,
+    # from the bisection root, before the sum shared its expression.
+    rho = bisection_root(k)[1]
+    qprime = singularity.kernel_derivative(k, rho)
+    log_p = k * m * math.log(rho) + (m + 1) * math.log1p(-rho)
+    log_value = (
+        singularity._log_binomial(n, m)
+        + math.log(2.0)
+        + log_p
+        - (m + 1) * math.log(rho * -qprime)
+        + singularity._log_decay(n, k, rho)
+    )
+    return math.exp(log_value) if log_value > -745.0 else 0.0
+
+
+def expected_sizes_before(n, m):
+    # The sum over k as it was: one full estimate per term, max(terms)
+    # rescanned for the stop rule.
+    terms = []
+    past_peak = math.log2(max(n, 2)) + 4
+    for k in range(1, n // m + 1):
+        value = singularity.prob_multiplicity_singularity(n, k, m).value
+        terms.append(value)
+        if k > past_peak and value < 1e-16 * max(terms):
+            break
+    return math.fsum(terms)
+
+
 class TestDominantRoot:
     def test_k1_closed_form(self):
         golden_conjugate = (math.sqrt(5) - 1) / 2
@@ -41,6 +106,14 @@ class TestDominantRoot:
         assert root.bracket_lo < root.value < root.bracket_hi
         assert root.residual <= 1e-12
         assert root.method == "bisection+newton"
+
+    @pytest.mark.parametrize("k", range(1, 301))
+    def test_newton_lands_on_the_bisection_double(self, k):
+        # k <= NEWTON_MAX_K is the whole Newton domain: the walk must stop
+        # on the bisection's pair of doubles for every one of them.
+        root = singularity.solve_dominant_root(k)
+        fields = (root.k, root.value, root.bracket_lo, root.bracket_hi, root.residual, root.method)
+        assert fields == bisection_root(k)
 
     def test_k50_series_expansion(self):
         root = singularity.solve_dominant_root(50)
@@ -155,3 +228,40 @@ class TestLeadingTermApproximation:
         value = singularity.expected_sizes_with_multiplicity_singularity(800, 1)
         exact = float(series.expected_sizes_with_multiplicity(800, 1))
         assert abs(value - exact) / exact < 0.05
+
+
+class TestBitForBit:
+    """The leading-term sum and the single estimate return the same doubles
+    as the per-term loop and the bisection root they replaced."""
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_sum_small_n(self, m):
+        for n in range(1, 301):
+            assert singularity.expected_sizes_with_multiplicity_singularity(n, m) == \
+                expected_sizes_before(n, m), n
+
+    def test_sum_log_uniform_n(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n, m = int(10 ** rng.uniform(0, 15)), rng.randint(1, 6)
+            assert singularity.expected_sizes_with_multiplicity_singularity(n, m) == \
+                expected_sizes_before(n, m), (n, m)
+
+    def test_sum_huge_n(self):
+        n = 10**300
+        value = singularity.expected_sizes_with_multiplicity_singularity(n, 1)
+        assert value == expected_sizes_before(n, 1)
+        assert 1.0 < value < 2.0
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (3, 4), (5, 6)])
+    def test_sum_empty_when_m_exceeds_n(self, n, m):
+        assert singularity.expected_sizes_with_multiplicity_singularity(n, m) == 0.0
+        assert expected_sizes_before(n, m) == 0.0
+
+    def test_single_estimate(self):
+        # k * m > n, and k > 1074, where 2^-(k+2) underflows and rho is 1/2.
+        for n in (1, 7, 100, 10**6, 10**15, 10**300):
+            for k in (1, 2, 3, 4, 17, 40, 41, 52, 60, 1074, 1075, 1200):
+                for m in (0, 1, 2, 5):
+                    value = singularity.prob_multiplicity_singularity(n, k, m).value
+                    assert value == leading_term_before(n, k, m), (n, k, m)
