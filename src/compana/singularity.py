@@ -56,16 +56,14 @@ def root_bracket(k: int) -> tuple[float, float]:
 def solve_dominant_root(k: int) -> DominantRoot:
     """Locate the unique kernel zero in (0, 1).
 
-    Newton from 1/2 + 2^-(k+2) (the bracket midpoint for k <= 3) runs until
-    a step stops moving x; a walk by single doubles then finds adjacent
-    a < b with Q(a) > 0 >= Q(b) in floats, and Newton polishes from their
-    midpoint to |Q| <= 1e-12.  Bisecting the bracket stops on the same
-    pair: near the root 1 - 2z is exact and falls by 2^-52 a double, far
-    more than the rounded z^k (1 - z) moves, so the float kernel changes
-    sign once.  The result is that bisection's to the bit, hence the method
-    name "bisection+newton".  Beyond k = 40 the root sits within
-    O(k / 2^(2k)) of 1/2 + 2^-(k+2), below double resolution, so the series
-    value is returned directly.
+    Newton from 1/2 + 2^-(k+2) (the bracket midpoint for k <= 3), a walk by
+    single doubles to the adjacent a < b with Q(a) > 0 >= Q(b) in floats,
+    then a Newton polish to |Q| <= 1e-12.  A bisection of the bracket stops
+    on that same pair, as the float kernel changes sign once: near the root
+    1 - 2z is exact and falls by 2^-52 a double, more than the rounded
+    z^k (1 - z) moves; so the method keeps its name "bisection+newton".
+    Beyond k = 40 the root is within O(k / 2^(2k)) of 1/2 + 2^-(k+2), below
+    double resolution, so the series value is returned directly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -177,10 +175,14 @@ def expected_sizes_with_multiplicity_singularity(n: int, m: int) -> float:
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     log_binom = _log_binomial(n, m)
+    # Terms before `first` underflow to 0.0: rho > the bracket's low end makes
+    # n log(2 rho) > n 2^-(k+2) >= 4 (log_binom + 800), and (1 - rho) < 5/8
+    # (-rho Q'(rho)), so 2 P(rho) / (-rho Q'(rho))^(m+1) < 2.
+    first = max(1, int(math.log2(n) - math.log2(log_binom + 800)) - 3)
     terms = []
     peak = 0.0
     past_peak = math.log2(max(n, 2)) + 4
-    for k in range(1, n // m + 1):
+    for k in range(first, n // m + 1):
         rho = solve_dominant_root(k).value if k <= NEWTON_MAX_K else 0.5 + 2.0 ** -(k + 2)
         value = _leading_term(n, k, m, rho, log_binom)
         terms.append(value)

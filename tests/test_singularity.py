@@ -253,6 +253,12 @@ class TestBitForBit:
         assert value == expected_sizes_before(n, 1)
         assert 1.0 < value < 2.0
 
+    @pytest.mark.parametrize("n,m", [(10**6, 300), (10**9, 10**4), (10**12, 2000), (20000, 5000)])
+    def test_sum_large_m(self, n, m):
+        # A large log C(n+m, m) moves the first term that does not underflow.
+        assert singularity.expected_sizes_with_multiplicity_singularity(n, m) == \
+            expected_sizes_before(n, m)
+
     @pytest.mark.parametrize("n,m", [(1, 2), (3, 4), (5, 6)])
     def test_sum_empty_when_m_exceeds_n(self, n, m):
         assert singularity.expected_sizes_with_multiplicity_singularity(n, m) == 0.0
