@@ -22,9 +22,9 @@ def bisect_root(k, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
-def bisection_root(k):
-    # The root finder before Newton: bisection to adjacent doubles, then
-    # the polish.  solve_dominant_root must return its fields exactly.
+def reference_root(k):
+    # Reference root: bisection of the bracket to adjacent doubles, then the
+    # polish.  solve_dominant_root must return exactly these fields.
     lo, hi = singularity.root_bracket(k)
     if k > singularity.NEWTON_MAX_K:
         x = 0.5 + 2.0 ** -(k + 2)
@@ -57,10 +57,10 @@ def bisection_root(k):
     return (k, x, lo, hi, abs(singularity.kernel_value(k, x)), "bisection+newton")
 
 
-def leading_term_before(n, k, m):
-    # prob_multiplicity_singularity's value as it was computed on its own,
-    # from the bisection root, before the sum shared its expression.
-    rho = bisection_root(k)[1]
+def reference_leading_term(n, k, m):
+    # Reference estimate: the leading term from the reference root, with
+    # every log assembled here rather than in the shared helper.
+    rho = reference_root(k)[1]
     qprime = singularity.kernel_derivative(k, rho)
     log_p = k * m * math.log(rho) + (m + 1) * math.log1p(-rho)
     log_value = (
@@ -73,9 +73,9 @@ def leading_term_before(n, k, m):
     return math.exp(log_value) if log_value > -745.0 else 0.0
 
 
-def expected_sizes_before(n, m):
-    # The sum over k as it was: one full estimate per term, max(terms)
-    # rescanned for the stop rule.
+def reference_expected_sizes(n, m):
+    # Reference sum: one full estimate per k from k = 1, the stop rule
+    # rescanning max(terms).
     terms = []
     past_peak = math.log2(max(n, 2)) + 4
     for k in range(1, n // m + 1):
@@ -113,7 +113,7 @@ class TestDominantRoot:
         # on the bisection's pair of doubles for every one of them.
         root = singularity.solve_dominant_root(k)
         fields = (root.k, root.value, root.bracket_lo, root.bracket_hi, root.residual, root.method)
-        assert fields == bisection_root(k)
+        assert fields == reference_root(k)
 
     def test_k50_series_expansion(self):
         root = singularity.solve_dominant_root(50)
@@ -232,37 +232,37 @@ class TestLeadingTermApproximation:
 
 class TestBitForBit:
     """The leading-term sum and the single estimate return the same doubles
-    as the per-term loop and the bisection root they replaced."""
+    as the reference loop over k and the reference root."""
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_sum_small_n(self, m):
         for n in range(1, 301):
             assert singularity.expected_sizes_with_multiplicity_singularity(n, m) == \
-                expected_sizes_before(n, m), n
+                reference_expected_sizes(n, m), n
 
     def test_sum_log_uniform_n(self):
         rng = random.Random(12)
         for _ in range(200):
             n, m = int(10 ** rng.uniform(0, 15)), rng.randint(1, 6)
             assert singularity.expected_sizes_with_multiplicity_singularity(n, m) == \
-                expected_sizes_before(n, m), (n, m)
+                reference_expected_sizes(n, m), (n, m)
 
     def test_sum_huge_n(self):
         n = 10**300
         value = singularity.expected_sizes_with_multiplicity_singularity(n, 1)
-        assert value == expected_sizes_before(n, 1)
+        assert value == reference_expected_sizes(n, 1)
         assert 1.0 < value < 2.0
 
     @pytest.mark.parametrize("n,m", [(10**6, 300), (10**9, 10**4), (10**12, 2000), (20000, 5000)])
     def test_sum_large_m(self, n, m):
         # A large log C(n+m, m) moves the first term that does not underflow.
         assert singularity.expected_sizes_with_multiplicity_singularity(n, m) == \
-            expected_sizes_before(n, m)
+            reference_expected_sizes(n, m)
 
     @pytest.mark.parametrize("n,m", [(1, 2), (3, 4), (5, 6)])
     def test_sum_empty_when_m_exceeds_n(self, n, m):
         assert singularity.expected_sizes_with_multiplicity_singularity(n, m) == 0.0
-        assert expected_sizes_before(n, m) == 0.0
+        assert reference_expected_sizes(n, m) == 0.0
 
     def test_single_estimate(self):
         # k * m > n, and k > 1074, where 2^-(k+2) underflows and rho is 1/2.
@@ -270,4 +270,4 @@ class TestBitForBit:
             for k in (1, 2, 3, 4, 17, 40, 41, 52, 60, 1074, 1075, 1200):
                 for m in (0, 1, 2, 5):
                     value = singularity.prob_multiplicity_singularity(n, k, m).value
-                    assert value == leading_term_before(n, k, m), (n, k, m)
+                    assert value == reference_leading_term(n, k, m), (n, k, m)
