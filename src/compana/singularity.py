@@ -53,8 +53,13 @@ def root_bracket(k: int) -> tuple[float, float]:
     return 1.0 / (2.0 - 2.0 ** -(k + 1)), 0.5 + 2.0 ** -(k + 1)
 
 
+def _series_root(k: int) -> float:
+    """The root past k = NEWTON_MAX_K: 1/2 + 2^-(k+2), within O(k / 2^(2k))."""
+    return 0.5 + 2.0 ** -(k + 2)
+
+
 def solve_dominant_root(k: int) -> DominantRoot:
-    """Locate the unique kernel zero in (0, 1).
+    """Locate the unique kernel zero in (0, 1); past k = 40, _series_root(k).
 
     Newton from 1/2 + 2^-(k+2) (the bracket midpoint for k <= 3), a walk by
     single doubles to the adjacent a < b with Q(a) > 0 >= Q(b) in floats,
@@ -62,16 +67,13 @@ def solve_dominant_root(k: int) -> DominantRoot:
     on that same pair, as the float kernel changes sign once: near the root
     1 - 2z is exact and falls by 2^-52 a double, more than the rounded
     z^k (1 - z) moves; so the method keeps its name "bisection+newton".
-    Beyond k = 40 the root is within O(k / 2^(2k)) of 1/2 + 2^-(k+2), below
-    double resolution, so the series value is returned directly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     lo, hi = root_bracket(k)
+    x = 0.5 * (lo + hi) if k <= 3 else _series_root(k)
     if k > NEWTON_MAX_K:
-        x = 0.5 + 2.0 ** -(k + 2)
         return DominantRoot(k, x, lo, hi, abs(kernel_value(k, x)), "series-expansion")
-    x = 0.5 * (lo + hi) if k <= 3 else 0.5 + 2.0 ** -(k + 2)
     for _ in range(100):
         step = x - kernel_value(k, x) / kernel_derivative(k, x)
         if step == x:
@@ -104,9 +106,7 @@ def solve_dominant_root(k: int) -> DominantRoot:
         x = candidate
     residual = abs(kernel_value(k, x))
     if residual > _RESIDUAL_TOL:
-        raise NumericalInstabilityError(
-            f"root polish for k={k} stalled at residual {residual:.3e}"
-        )
+        raise NumericalInstabilityError(f"root polish for k={k} stalled at residual {residual:.3e}")
     return DominantRoot(k, x, lo, hi, residual, "bisection+newton")
 
 
@@ -175,15 +175,14 @@ def expected_sizes_with_multiplicity_singularity(n: int, m: int) -> float:
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     log_binom = _log_binomial(n, m)
-    # Terms before `first` underflow to 0.0: rho > the bracket's low end makes
-    # n log(2 rho) > n 2^-(k+2) >= 4 (log_binom + 800), and (1 - rho) < 5/8
-    # (-rho Q'(rho)), so 2 P(rho) / (-rho Q'(rho))^(m+1) < 2.
+    # Terms before `first` underflow to 0.0: rho > the bracket's low end gives
+    # n log(2 rho) > n 2^-(k+2) >= 4 (log_binom + 800), and (1 - rho) <
+    # 5/8 (-rho Q'(rho)) keeps 2 P(rho) / (-rho Q'(rho))^(m+1) below 2.
     first = max(1, int(math.log2(n) - math.log2(log_binom + 800)) - 3)
-    terms = []
-    peak = 0.0
+    terms, peak = [], 0.0
     past_peak = math.log2(max(n, 2)) + 4
     for k in range(first, n // m + 1):
-        rho = solve_dominant_root(k).value if k <= NEWTON_MAX_K else 0.5 + 2.0 ** -(k + 2)
+        rho = solve_dominant_root(k).value if k <= NEWTON_MAX_K else _series_root(k)
         value = _leading_term(n, k, m, rho, log_binom)
         terms.append(value)
         peak = max(peak, value)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,18 +56,26 @@ print(json.dumps([min(timeit.repeat(s, number=number, repeat=repeat, globals=glo
 
 
 def export(commit: str, workdir: Path) -> tuple[str, Path]:
-    """(short hash, tree) of ``commit`` unpacked from ``git archive``."""
+    """(short hash, tree) of ``commit`` unpacked from ``git archive``.
+
+    The tree is unpacked beside its final name and renamed only once both
+    ``git archive`` and ``tar`` succeed, so a failed export leaves no
+    half-filled tree for a later run to reuse.
+    """
     short = subprocess.run(["git", "rev-parse", "--short", commit], cwd=ROOT, check=True,
                            capture_output=True, text=True).stdout.strip()
     tree = workdir / short
     if not tree.is_dir():
-        tree.mkdir(parents=True)
+        workdir.mkdir(parents=True, exist_ok=True)
+        partial = Path(tempfile.mkdtemp(prefix=f"{short}.", dir=workdir))
         archive = subprocess.Popen(["git", "archive", "--format=tar", short], cwd=ROOT,
                                    stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
+        untar = subprocess.run(["tar", "-x", "-C", str(partial)], stdin=archive.stdout)
         archive.stdout.close()
-        if archive.wait() != 0:
-            raise SystemExit(f"git archive {short} failed")
+        if archive.wait() != 0 or untar.returncode != 0:
+            shutil.rmtree(partial)
+            raise SystemExit(f"exporting {short} failed")
+        partial.rename(tree)
     return short, tree
 
 
@@ -76,11 +85,10 @@ def python_in(tree: Path, code: str, *args: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(tree: Path, workload: str, seed: int) -> dict:
     """The summary object that ``bench/run.py`` prints as its last line."""
     out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=tree, check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -121,13 +129,12 @@ def summarize(runs: list[dict]) -> dict:
     return summary
 
 
-def workload_pairs(trees: dict[str, Path], workload: str, seed: int, pairs: int,
-                   seconds: float) -> dict:
+def workload_pairs(trees: dict[str, Path], workload: str, seed: int, pairs: int) -> dict:
     runs = []
     for pair in range(1, pairs + 1):
         run = {"pair": pair}
         for side in sides_in_turn(pair):
-            run[side] = bench_run(trees[side], workload, seed, seconds)
+            run[side] = bench_run(trees[side], workload, seed)
             wall = run[side]["metrics"]["wall_s"]["value"]
             print(f"{workload} seed {seed} pair {pair} {side}: wall_s {wall:.4f}", file=sys.stderr)
         runs.append(run)
@@ -183,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", type=workload_spec, action="append", default=[],
                         metavar="NAME[:PAIRS]", help="a workload and its pair count (default 2)")
     parser.add_argument("--seed", type=int, action="append", help="repeatable; default 1")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--timeit", nargs=2, action="append", default=[],
                         metavar=("LABEL", "STMT"))
     parser.add_argument("--claim", default="none: no-regression pairs only")
@@ -193,9 +199,10 @@ def main(argv: list[str] | None = None) -> int:
     hashes, trees = {}, {}
     for side, commit in zip(SIDES, (args.parent, args.change)):
         hashes[side], trees[side] = export(commit, workdir)
+    seconds = json.loads((trees["change"] / "BENCHMARK.json").read_text())["run_seconds"]
     result = {
-        "command": f"python3 bench/run.py ({args.seconds:g} s per workload), run from a git "
-                   "archive of each commit",
+        "command": f"python3 bench/run.py at its default run length ({seconds:g} s per "
+                   "workload, BENCHMARK.json run_seconds), run from a git archive of each commit",
         "machine": json.loads(python_in(trees["change"], MACHINE_PROBE)),
         "parent": hashes["parent"],
         "change": hashes["change"],
@@ -205,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     for seed in args.seed or [1]:
         for workload, pairs in args.workload:
             key = f"seed_{seed}_{workload.replace('-', '_')}"
-            result[key] = workload_pairs(trees, workload, seed, pairs, args.seconds)
+            result[key] = workload_pairs(trees, workload, seed, pairs)
     if args.timeit:
         result["layers"] = layer_pairs(trees, args.timeit)
     out = ROOT / f"BENCH_{args.pr}.json"
