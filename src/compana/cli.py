@@ -104,12 +104,12 @@ def parse_trials(text: str) -> int:
     return trials
 
 
-def parse_workers(text: str) -> int:
-    """Worker-thread count, at least 1."""
-    workers = int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1")
-    return workers
+def parse_positive_int(text: str) -> int:
+    """An int of at least 1: a worker-thread count or a float precision."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
 
 
 def _fmt_value(value: Any, precision: int) -> Any:
@@ -348,14 +348,17 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write output to this file")
     parser.add_argument(
-        "--precision", type=int, default=DEFAULT_PRECISION, help="significant digits for floats"
+        "--precision",
+        type=parse_positive_int,
+        default=DEFAULT_PRECISION,
+        help="significant digits for floats",
     )
 
 
 def _add_sampling_options(parser: argparse.ArgumentParser, trials_default: int) -> None:
     parser.add_argument("--trials", type=parse_trials, default=trials_default)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=parse_workers, default=1)
+    parser.add_argument("--workers", type=parse_positive_int, default=1)
 
 
 @functools.cache
@@ -434,8 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     # ValueError covers EnumerationCapError; OverflowError a count too large
-    # for a float, as in predict --n 10^400.
-    except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
+    # for a float, as in predict --n 10^400; OSError an --out or --hist-out
+    # that cannot be written.
+    except (ValueError, OverflowError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalInstabilityError as exc:

@@ -11,6 +11,12 @@ compositions that reorder it, and seeded Monte Carlo estimators that remain
 practical for very large ``n`` (a profile of a uniform composition of
 ``n = 10**6`` is sampled in a few dozen vectorized draws of part-size counts
 rather than by materializing ~n/2 parts).
+
+Only the Monte Carlo estimators use numpy and a thread pool, and they import
+them when first called.  Enumeration, like the other three routes, runs on
+Python ints and floats, so a command that does not sample (``exact``,
+``prob``, ``predict``, ``rho``, ``mellin``, ``compare --trials 0``) starts
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 25
 ENUM_CAP_ENV_VAR = "COMPANA_ENUM_CAP"
@@ -157,6 +164,8 @@ def exact_expected_sizes_with_multiplicity(n: int, m: int) -> Fraction:
 
 def worker_rng(seed: int, worker: int) -> np.random.Generator:
     """Independent, reproducible substream for a given (seed, worker) pair."""
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(worker,)))
 
 
@@ -190,6 +199,8 @@ def _profile_stats_batch(
     Scanning k = 1, 2, ... therefore costs about log2(n) vectorized draws
     per batch instead of O(n) bits per trial.
     """
+    import numpy as np
+
     if n > 1:
         p = 1 + rng.binomial(n - 1, 0.5, size=size).astype(np.int64)
     else:
@@ -218,6 +229,8 @@ def _profile_stats_batch(
 
 
 def _mc_event_worker(args: tuple[int, int, int, int, int]) -> tuple[float, float, int]:
+    import numpy as np
+
     n, m, trials, seed, worker = args
     rng = worker_rng(seed, worker)
     total = 0.0
@@ -234,6 +247,8 @@ def _mc_event_worker(args: tuple[int, int, int, int, int]) -> tuple[float, float
 
 
 def _distinct_hist_worker(args: tuple[int, int, int, int]) -> np.ndarray:
+    import numpy as np
+
     n, trials, seed, worker = args
     rng = worker_rng(seed, worker)
     hist = np.zeros(1, dtype=np.int64)
@@ -258,6 +273,10 @@ def _run_workers(worker_fn, tasks: list, workers: int) -> list:
     """
     if workers <= 1 or len(tasks) <= 1:
         return [worker_fn(t) for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy  # noqa: F401  (its first import runs here, not in a worker thread)
+
     with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         return list(pool.map(worker_fn, tasks))
 
@@ -298,6 +317,8 @@ def distinct_size_histogram(
 
     Deterministic for fixed (seed, trials, workers).
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_sampling_args(n, trials, workers)

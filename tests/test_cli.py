@@ -2,8 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -218,11 +221,19 @@ class TestSampleCommand:
         assert code == 0
         assert out.splitlines()[1].startswith("1000000000,1,200,")
 
-    @pytest.mark.parametrize("flag,value", [("--trials", "-1"), ("--workers", "0")])
-    def test_bad_knobs_rejected_while_parsing(self, flag, value):
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--trials", "-1"), ("--workers", "0"), ("--precision", "0"), ("--precision", "-1")],
+    )
+    def test_bad_knobs_rejected_while_parsing(self, flag, value, capsys, monkeypatch):
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(cli.compositions, "mc_event_probability", must_not_sample)
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["sample", "--n", "100", "--m", "1", flag, value])
         assert excinfo.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
 
 
 class TestDistinctCommand:
@@ -355,6 +366,20 @@ class TestOutputPlumbing:
         assert out == ""
         assert target.read_text().splitlines()[1] == "1,5/8,0.625"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rho", "--k", "3", "--out", "{missing}/table.csv"),
+            ("distinct", "--n", "100", "--trials", "10", "--hist-out", "{missing}/hist.csv"),
+        ],
+    )
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing"
+        code, _, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert str(missing) in err
+
     def test_precision_flag(self, capsys):
         _, out12, _ = run_cli(capsys, "rho", "--k", "3")
         _, out4, _ = run_cli(capsys, "rho", "--k", "3", "--precision", "4")
@@ -411,3 +436,41 @@ def test_package_exports_the_readme_library_names():
         "prob_multiplicity_singularity", "predict_event_probability",
     }
     assert compana.__version__ == "0.1.0"
+
+
+# Runs in a fresh interpreter: the test suite itself has numpy loaded.
+_SAMPLER_MODULES_PROBE = """
+import json, sys
+import compana, compana.cli as cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps([m for m in ("numpy", "concurrent.futures") if m in sys.modules]))
+"""
+
+
+def sampler_modules_after(*argvs):
+    """Which of numpy and concurrent.futures a fresh interpreter has loaded
+    after importing compana and running the given commands."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _SAMPLER_MODULES_PROBE, json.dumps(argvs)],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_commands_that_do_not_sample_leave_numpy_unloaded():
+    assert sampler_modules_after(
+        ["exact", "--n", "6"],
+        ["prob", "--n", "50", "--k", "2", "--m", "1", "--route", "both"],
+        ["predict", "--n", "1e6", "--m", "1"],
+        ["rho", "--k", "3"],
+        ["mellin", "--n", "1e6", "--m", "1"],
+        ["compare", "--n", "10,100", "--m", "1", "--trials", "0"],
+    ) == []
+
+
+def test_sample_loads_numpy_and_the_pool():
+    assert sampler_modules_after(
+        ["sample", "--n", "100", "--m", "1", "--trials", "100", "--workers", "2"]
+    ) == ["numpy", "concurrent.futures"]
