@@ -165,7 +165,6 @@ def exact_expected_sizes_with_multiplicity(n: int, m: int) -> Fraction:
 def worker_rng(seed: int, worker: int) -> np.random.Generator:
     """Independent, reproducible substream for a given (seed, worker) pair."""
     import numpy as np
-
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(worker,)))
 
 
@@ -200,7 +199,6 @@ def _profile_stats_batch(
     per batch instead of O(n) bits per trial.
     """
     import numpy as np
-
     if n > 1:
         p = 1 + rng.binomial(n - 1, 0.5, size=size).astype(np.int64)
     else:
@@ -230,7 +228,6 @@ def _profile_stats_batch(
 
 def _mc_event_worker(args: tuple[int, int, int, int, int]) -> tuple[float, float, int]:
     import numpy as np
-
     n, m, trials, seed, worker = args
     rng = worker_rng(seed, worker)
     total = 0.0
@@ -248,7 +245,6 @@ def _mc_event_worker(args: tuple[int, int, int, int, int]) -> tuple[float, float
 
 def _distinct_hist_worker(args: tuple[int, int, int, int]) -> np.ndarray:
     import numpy as np
-
     n, trials, seed, worker = args
     rng = worker_rng(seed, worker)
     hist = np.zeros(1, dtype=np.int64)
@@ -318,7 +314,6 @@ def distinct_size_histogram(
     Deterministic for fixed (seed, trials, workers).
     """
     import numpy as np
-
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_sampling_args(n, trials, workers)
