@@ -83,14 +83,30 @@ def _gamma_line_argument(m: int, p: int) -> complex:
     return complex(m, 2.0 * math.pi * p / LN2)
 
 
-def _harmonics(total: float, x: float, m: int, p_max: int) -> float:
-    """total + 2 Re sum_{p=1..p_max} e^(-2 pi i p x) Gamma(m + 2 pi i p / log 2),
-    added term by term onto ``total`` so that the residue series keeps its
-    rounding."""
-    for p in range(1, p_max + 1):
-        phase = cmath.exp(-2j * math.pi * p * x)
-        total += 2.0 * (phase * complex_gamma(_gamma_line_argument(m, p))).real
-    return total
+def _harmonics(x: float, m: int, p_max: int, residue: bool) -> float:
+    """(c + 2 Re sum_{p=1..p_max} e^(-2 pi i p x) Gamma(m + 2 pi i p / log 2)) / d,
+    c = (m-1)! and d = m! log 2 for the residue series, c = 0 and d = m! for
+    the fluctuation, added term by term onto c so that the residue series
+    keeps its rounding.  Where a Gamma factor overflows a double (m! from
+    m = 171 on, checked before it is computed; the Lanczos form earlier, at
+    times as nan) it raises one OverflowError naming m and p_max.
+    """
+    overflow = OverflowError(
+        f"m={m} with p_max={p_max} is out of range: "
+        "the limit law's Gamma factor overflows a double"
+    )
+    if m > 170:
+        raise overflow
+    total = float(math.factorial(m - 1)) if residue else 0.0
+    try:
+        for p in range(1, p_max + 1):
+            phase = cmath.exp(-2j * math.pi * p * x)
+            total += 2.0 * (phase * complex_gamma(_gamma_line_argument(m, p))).real
+    except OverflowError:
+        raise overflow from None
+    if not math.isfinite(total):
+        raise overflow
+    return total / (math.factorial(m) * LN2) if residue else total / math.factorial(m)
 
 
 def _direct_window(n: float, m: int, rel_cutoff: float) -> tuple[int, int, float]:
@@ -119,14 +135,14 @@ def _direct_sum(n: float, m: int, rel_cutoff: float) -> tuple[float, int, int]:
     the k-window it summed.
 
     Terms are gathered outward from the peak near k = log2(n/m) until they
-    fall below ``rel_cutoff`` times the largest one, then added largest
-    first.  The scaling happens in log space so n up to 1e9 (and beyond)
-    is safe.
+    fall below ``rel_cutoff`` times the largest one, then summed by
+    math.fsum, correctly rounded in any order.  The scaling happens in log
+    space so n up to 1e9 (and beyond) is safe.
     """
     n, m = _validate_sum_args(n, m)
     k_lo, k_hi, peak = _direct_window(n, m, rel_cutoff)
     log_terms = [-k * m * LN2 - n / 2.0**k for k in range(k_lo, k_hi + 1)]
-    scaled = math.fsum(sorted((math.exp(lt - peak) for lt in log_terms), reverse=True))
+    scaled = math.fsum(math.exp(lt - peak) for lt in log_terms)
     value = math.exp(m * math.log(n) - math.lgamma(m + 1) + peak + math.log(scaled))
     return value, k_lo, k_hi
 
@@ -153,9 +169,7 @@ def harmonic_sum_residues(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> f
     n, m = _validate_sum_args(n, m)
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
-    frac = math.log2(n) % 1.0
-    total = _harmonics(float(math.factorial(m - 1)), frac, m, p_max)
-    return total / (math.factorial(m) * LN2)
+    return _harmonics(math.log2(n) % 1.0, m, p_max, residue=True)
 
 
 def harmonic_sum_result(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> HarmonicSumResult:
@@ -181,7 +195,7 @@ def fluctuation(x: float, m: int = 1, p_max: int = DEFAULT_HARMONICS) -> float:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _harmonics(0.0, float(x) % 1.0, m, p_max) / math.factorial(m)
+    return _harmonics(float(x) % 1.0, m, p_max, residue=False)
 
 
 def predict_event_probability(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> float:

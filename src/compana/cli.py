@@ -184,7 +184,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
     exact = None if p is None else float(p)
     approx = None
     if args.route != "series":
-        approx = singularity.prob_multiplicity_singularity(n, k, m).value
+        approx = singularity.prob_multiplicity_singularity(n, k, m)
     row = {
         "n": n,
         "k": k,
@@ -216,8 +216,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
-    estimate = compositions.mc_event_probability(n, m, args.trials, args.seed, args.workers)
+    # Before sampling, so that an m past the limit law's range fails at once.
     prediction = asymptotics.predict_event_probability(n, m) if n >= 3 else None
+    estimate = compositions.mc_event_probability(n, m, args.trials, args.seed, args.workers)
     row = {
         "n": n,
         "m": m,
@@ -258,15 +259,16 @@ def cmd_distinct(args: argparse.Namespace) -> int:
         "mean_distinct": mean,
         "mean_distinct_stderr": math.sqrt(var / trials),
     }
-    extra = None
-    if args.format == "json":
-        extra = {"histogram": {str(d): c for d, c in counts}}
-    emit([row], args, extra=extra)
+    # Before emit, so that an unwritable --hist-out leaves stdout empty.
     if args.hist_out:
         with open(args.hist_out, "w", encoding="utf-8") as handle:
             handle.write("distinct,count\n")
             for d, c in counts:
                 handle.write(f"{d},{c}\n")
+    extra = None
+    if args.format == "json":
+        extra = {"histogram": {str(d): c for d, c in counts}}
+    emit([row], args, extra=extra)
     return EXIT_OK
 
 

@@ -107,40 +107,8 @@ class RationalFunctionSpec:
             raise ValueError("numerator degree must be below the denominator degree")
 
     @property
-    def numerator_degree(self) -> int:
-        return len(self.numerator) - 1
-
-    @property
     def denominator_degree(self) -> int:
         return len(self.denominator) - 1
-
-
-def _sparse_poly_power(base: dict[int, int], exponent: int) -> dict[int, int]:
-    out = {0: 1}
-    for _ in range(exponent):
-        nxt: dict[int, int] = {}
-        for e1, c1 in out.items():
-            for e2, c2 in base.items():
-                e = e1 + e2
-                nxt[e] = nxt.get(e, 0) + c1 * c2
-        out = {e: c for e, c in nxt.items() if c}
-    return out
-
-
-def _densify(poly: dict[int, int]) -> tuple[int, ...]:
-    degree = max(poly)
-    out = [0] * (degree + 1)
-    for e, c in poly.items():
-        out[e] = c
-    return tuple(out)
-
-
-def _kernel_sparse(k: int) -> dict[int, int]:
-    # Built additively: for k = 1 the z and -2z monomials merge.
-    kernel: dict[int, int] = {0: 1}
-    for e, c in ((1, -2), (k, 1), (k + 1, -1)):
-        kernel[e] = kernel.get(e, 0) + c
-    return {e: c for e, c in kernel.items() if c}
 
 
 def build_multiplicity_gf(k: int, m: int) -> RationalFunctionSpec:
@@ -148,17 +116,24 @@ def build_multiplicity_gf(k: int, m: int) -> RationalFunctionSpec:
     where part size k has multiplicity exactly m.
 
     Numerator z^(k*m) * (1-z)^(m+1), denominator (1 - 2z + z^k(1-z))^(m+1);
-    both expanded exactly.
+    both expanded exactly, the denominator by m + 1 products with the kernel.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    denominator = _sparse_poly_power(_kernel_sparse(k), m + 1)
-    numerator = {
-        k * m + i: (-1) ** i * math.comb(m + 1, i) for i in range(m + 2)
-    }
-    return RationalFunctionSpec(_densify(numerator), _densify(denominator))
+    den = [1]
+    for _ in range(m + 1):  # times 1 - 2z + z^k - z^(k+1); for k = 1 the z terms merge
+        product = [0] * (len(den) + k + 1)
+        for i, c in enumerate(den):
+            if c:
+                product[i] += c
+                product[i + 1] -= 2 * c
+                product[i + k] += c
+                product[i + k + 1] -= c
+        den = product
+    numerator = [0] * (k * m) + [(-1) ** i * math.comb(m + 1, i) for i in range(m + 2)]
+    return RationalFunctionSpec(tuple(numerator), tuple(den))
 
 
 def _recurrence_ring(spec: RationalFunctionSpec, stop: int) -> list:
@@ -292,23 +267,19 @@ def _power_of_x(n: int, den: list[tuple[int, int, int]], d: int, bits: int):
     return mid, rad
 
 
-def _extract_by_powmod(spec: RationalFunctionSpec, n: int) -> int:
-    # The sequence obeys the homogeneous recurrence from index
-    # numerator_degree + 1 <= d on, so the exact x^n reduced against the
-    # characteristic polynomial contracts c_n onto the initial window.
-    d = spec.denominator_degree
-    den = [(j, c, 0) for j, c in enumerate(spec.denominator) if j and c]
-    power, _ = _power_of_x(n, den, d, 0)
-    return int(sum(a * c for a, c in zip(power, _recurrence_ring(spec, d))))
-
-
 def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
     """Exact coefficient of z^n in the power series of the rational function:
     x^n modulo the denominator's characteristic polynomial, contracted onto
     the initial window c_0..c_{d-1}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _extract_by_powmod(spec, n)
+    # The sequence obeys the homogeneous recurrence from index
+    # len(numerator) <= d on, so the exact x^n reduced against the
+    # characteristic polynomial contracts c_n onto the initial window.
+    d = spec.denominator_degree
+    den = [(j, c, 0) for j, c in enumerate(spec.denominator) if j and c]
+    power, _ = _power_of_x(n, den, d, 0)
+    return int(sum(a * c for a, c in zip(power, _recurrence_ring(spec, d))))
 
 
 def count_with_multiplicity(n: int, k: int, m: int) -> int:

@@ -84,19 +84,19 @@ def test_criterion_04_root_bracket_winding_and_sandwich():
 
 def test_criterion_05_leading_term_accuracy():
     exact_a = float(series.prob_multiplicity(2000, 5, 2))
-    approx_a = singularity.prob_multiplicity_singularity(2000, 5, 2).value
+    approx_a = singularity.prob_multiplicity_singularity(2000, 5, 2)
     rel_a = abs(approx_a - exact_a) / exact_a
     assert rel_a <= 0.01
 
     exact_b = float(series.prob_multiplicity(500, 1, 0))
-    approx_b = singularity.prob_multiplicity_singularity(500, 1, 0).value
+    approx_b = singularity.prob_multiplicity_singularity(500, 1, 0)
     rel_b = abs(approx_b - exact_b) / exact_b
     assert rel_b <= 0.02
 
     errors = []
     for n in (100, 200, 400, 800, 1600):
         exact = float(series.prob_multiplicity(n, 3, 1))
-        approx = singularity.prob_multiplicity_singularity(n, 3, 1).value
+        approx = singularity.prob_multiplicity_singularity(n, 3, 1)
         errors.append(abs(approx - exact) / exact)
     for earlier, later in zip(errors, errors[1:]):
         assert later <= 2.0 * earlier

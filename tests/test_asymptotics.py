@@ -254,3 +254,22 @@ class TestPrediction:
     def test_domain(self):
         with pytest.raises(ValueError):
             asym.predict_event_probability(1.0, 1)
+
+    @pytest.mark.parametrize(
+        # (p_max, last m that fits): m! overflows from 171 on, the Lanczos
+        # Gamma from 142 at p_max = 5; at p_max = 100 it returned nan for
+        # m = 105..113 before raising from 114 on.
+        "p_max,m_max", [(0, 170), (5, 141), (100, 104)],
+    )
+    def test_gamma_overflow_names_m_and_p_max(self, p_max, m_max):
+        routes = (
+            lambda m: asym.fluctuation(0.3, m, p_max),
+            lambda m: asym.predict_event_probability(1e6, m, p_max),
+            lambda m: asym.harmonic_sum_residues(1e6, m, p_max),
+        )
+        for route in routes:
+            assert math.isfinite(route(m_max))
+            for m in (m_max + 1, m_max + 10, 10**9):
+                message = f"m={m} with p_max={p_max} is out of range: the limit law's Gamma factor"
+                with pytest.raises(OverflowError, match=message):
+                    route(m)

@@ -236,6 +236,20 @@ class TestSampleCommand:
         assert f"argument {flag}: " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["predict", "sample"])
+    def test_m_past_the_limit_law_range_fails_before_sampling(self, command, capsys, monkeypatch):
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("sampled before the prediction")
+
+        monkeypatch.setattr(cli.compositions, "mc_event_probability", must_not_sample)
+        code, out, err = run_cli(capsys, command, "--n", "1e6", "--m", "142")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: m=142 with p_max=5 is out of range: "
+            "the limit law's Gamma factor overflows a double\n"
+        )
+
+
 class TestDistinctCommand:
     def test_small_n_mean_matches_enumeration(self, capsys):
         code, out, _ = run_cli(
@@ -375,8 +389,9 @@ class TestOutputPlumbing:
     )
     def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv):
         missing = tmp_path / "missing"
-        code, _, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+        code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
         assert code == 2
+        assert out == ""
         assert err.startswith("error: ")
         assert str(missing) in err
 

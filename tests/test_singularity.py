@@ -79,7 +79,7 @@ def reference_expected_sizes(n, m):
     terms = []
     past_peak = math.log2(max(n, 2)) + 4
     for k in range(1, n // m + 1):
-        value = singularity.prob_multiplicity_singularity(n, k, m).value
+        value = singularity.prob_multiplicity_singularity(n, k, m)
         terms.append(value)
         if k > past_peak and value < 1e-16 * max(terms):
             break
@@ -168,23 +168,23 @@ class TestLeadingTermApproximation:
     def test_large_n_matches_exact_series(self):
         approx = singularity.prob_multiplicity_singularity(2000, 5, 2)
         exact = float(series.prob_multiplicity(2000, 5, 2))
-        assert abs(approx.value - exact) / exact <= 0.01
+        assert abs(approx - exact) / exact <= 0.01
 
     def test_m0_case(self):
         approx = singularity.prob_multiplicity_singularity(500, 1, 0)
         exact = float(series.prob_multiplicity(500, 1, 0))
-        assert abs(approx.value - exact) / exact <= 0.02
+        assert abs(approx - exact) / exact <= 0.02
 
     def test_small_n_right_order(self):
         approx = singularity.prob_multiplicity_singularity(5, 1, 1)
-        assert 0.0 < approx.value < 1.0
-        assert 0.1 < approx.value / (5 / 16) < 10.0
+        assert 0.0 < approx < 1.0
+        assert 0.1 < approx / (5 / 16) < 10.0
 
     def test_error_decreases_along_doubling_n(self):
         errors = []
         for n in (100, 200, 400, 800, 1600):
             exact = float(series.prob_multiplicity(n, 3, 1))
-            approx = singularity.prob_multiplicity_singularity(n, 3, 1).value
+            approx = singularity.prob_multiplicity_singularity(n, 3, 1)
             errors.append(abs(approx - exact) / exact)
         for earlier, later in zip(errors, errors[1:]):
             assert later <= 2.0 * earlier
@@ -212,7 +212,7 @@ class TestLeadingTermApproximation:
         for k in range(1, 61):
             rho = singularity.solve_dominant_root(k).value
             log_decay = singularity._log_decay(n, k, rho)
-            value = singularity.prob_multiplicity_singularity(n, k, m).value
+            value = singularity.prob_multiplicity_singularity(n, k, m)
             with mpmath.workdps(40):
                 z = mpmath.findroot(
                     lambda z: 1 - 2 * z + z**k * (1 - z), mpmath.mpf(0.5) + mpmath.mpf(2) ** (-k - 2)
@@ -269,5 +269,5 @@ class TestBitForBit:
         for n in (1, 7, 100, 10**6, 10**15, 10**300):
             for k in (1, 2, 3, 4, 17, 40, 41, 52, 60, 1074, 1075, 1200):
                 for m in (0, 1, 2, 5):
-                    value = singularity.prob_multiplicity_singularity(n, k, m).value
+                    value = singularity.prob_multiplicity_singularity(n, k, m)
                     assert value == reference_leading_term(n, k, m), (n, k, m)
