@@ -235,7 +235,6 @@ class TestSampleCommand:
         assert excinfo.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("command", ["predict", "sample"])
     def test_m_past_the_limit_law_range_fails_before_sampling(self, command, capsys, monkeypatch):
         def must_not_sample(*args, **kwargs):
