@@ -49,15 +49,12 @@ _LANCZOS_COEFFS = (
 
 @dataclass(frozen=True)
 class HarmonicSumResult:
-    """Scaled harmonic sum by both routes, with truncation metadata."""
+    """Scaled harmonic sum by both routes, with the direct sum's k-window."""
 
-    n: float
-    m: int
     direct: float
     residue: float
     k_lo: int
     k_hi: int
-    p_max: int
 
 
 def complex_gamma(z: complex) -> complex:
@@ -79,10 +76,6 @@ def complex_gamma(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
-def _gamma_line_argument(m: int, p: int) -> complex:
-    return complex(m, 2.0 * math.pi * p / LN2)
-
-
 def _harmonics(x: float, m: int, p_max: int, residue: bool) -> float:
     """(c + 2 Re sum_{p=1..p_max} e^(-2 pi i p x) Gamma(m + 2 pi i p / log 2)) / d,
     c = (m-1)! and d = m! log 2 for the residue series, c = 0 and d = m! for
@@ -101,7 +94,8 @@ def _harmonics(x: float, m: int, p_max: int, residue: bool) -> float:
     try:
         for p in range(1, p_max + 1):
             phase = cmath.exp(-2j * math.pi * p * x)
-            total += 2.0 * (phase * complex_gamma(_gamma_line_argument(m, p))).real
+            gamma = complex_gamma(complex(m, 2.0 * math.pi * p / LN2))
+            total += 2.0 * (phase * gamma).real
     except OverflowError:
         raise overflow from None
     if not math.isfinite(total):
@@ -109,39 +103,32 @@ def _harmonics(x: float, m: int, p_max: int, residue: bool) -> float:
     return total / (math.factorial(m) * LN2) if residue else total / math.factorial(m)
 
 
-def _direct_window(n: float, m: int, rel_cutoff: float) -> tuple[int, int, float]:
-    """Smallest k-window whose excluded terms all fall below rel_cutoff
-    times the peak term; returns (k_lo, k_hi, log of peak term)."""
-    center = max(1, round(math.log2(n / m)))
-
-    def log_term(k: int) -> float:
-        return -k * m * LN2 - n / 2.0**k
-
-    floor = math.log(rel_cutoff)
-    peak = log_term(center)
-    k_lo = center
-    while k_lo > 1 and log_term(k_lo - 1) > peak + floor:
-        k_lo -= 1
-        peak = max(peak, log_term(k_lo))
-    k_hi = center
-    while log_term(k_hi + 1) > peak + floor:
-        k_hi += 1
-        peak = max(peak, log_term(k_hi))
-    return k_lo, k_hi, peak
-
-
-def _direct_sum(n: float, m: int, rel_cutoff: float) -> tuple[float, int, int]:
+def _direct_sum(n: float, m: int) -> tuple[float, int, int]:
     """n^m/m! * sum_{k>=1} 2^(-k m) exp(-n/2^k) by direct summation, with
     the k-window it summed.
 
     Terms are gathered outward from the peak near k = log2(n/m) until they
-    fall below ``rel_cutoff`` times the largest one, then summed by
+    fall below _DIRECT_CUTOFF times the largest one, then summed by
     math.fsum, correctly rounded in any order.  The scaling happens in log
     space so n up to 1e9 (and beyond) is safe.
     """
     n, m = _validate_sum_args(n, m)
-    k_lo, k_hi, peak = _direct_window(n, m, rel_cutoff)
-    log_terms = [-k * m * LN2 - n / 2.0**k for k in range(k_lo, k_hi + 1)]
+
+    def log_term(k: int) -> float:
+        return -k * m * LN2 - n / 2.0**k
+
+    floor = math.log(_DIRECT_CUTOFF)
+    k_lo = k_hi = max(1, round(math.log2(n / m)))
+    peak = log_term(k_lo)
+    log_terms = [peak]
+    while k_lo > 1 and (term := log_term(k_lo - 1)) > peak + floor:
+        k_lo -= 1
+        log_terms.append(term)
+        peak = max(peak, term)
+    while (term := log_term(k_hi + 1)) > peak + floor:
+        k_hi += 1
+        log_terms.append(term)
+        peak = max(peak, term)
     scaled = math.fsum(math.exp(lt - peak) for lt in log_terms)
     value = math.exp(m * math.log(n) - math.lgamma(m + 1) + peak + math.log(scaled))
     return value, k_lo, k_hi
@@ -173,41 +160,41 @@ def harmonic_sum_residues(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> f
 
 
 def harmonic_sum_result(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> HarmonicSumResult:
-    """Both harmonic-sum routes packaged with their truncation metadata."""
-    direct, k_lo, k_hi = _direct_sum(n, m, _DIRECT_CUTOFF)
+    """Both harmonic-sum routes, with the direct sum's k-window."""
+    direct, k_lo, k_hi = _direct_sum(n, m)
     return HarmonicSumResult(
-        n=float(n),
-        m=m,
-        direct=direct,
-        residue=harmonic_sum_residues(n, m, p_max),
-        k_lo=k_lo,
-        k_hi=k_hi,
-        p_max=p_max,
+        direct=direct, residue=harmonic_sum_residues(n, m, p_max), k_lo=k_lo, k_hi=k_hi
     )
 
 
-def fluctuation(x: float, m: int = 1, p_max: int = DEFAULT_HARMONICS) -> float:
+def fluctuation(x: float, m: int = 1) -> float:
     """Mean-zero 1-periodic fluctuation F(x) = (2/m!) Re sum_{p>=1}
-    e^(-2 pi i p x) Gamma(m + 2 pi i p / log 2).
+    e^(-2 pi i p x) Gamma(m + 2 pi i p / log 2), to DEFAULT_HARMONICS terms.
 
     The input is reduced mod 1.  The gamma argument uses m on the real axis,
     matching the residue series term for term.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _harmonics(float(x) % 1.0, m, p_max, residue=False)
+    return _harmonics(float(x) % 1.0, m, DEFAULT_HARMONICS, residue=False)
 
 
-def predict_event_probability(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> float:
-    """Limit prediction for the probability that a uniformly chosen part
-    size of a uniform composition of n has multiplicity m:
+def limit_law(n: float, m: int) -> tuple[float, float, float, float]:
+    """The limit law at (n, m) as (prediction, 1/m + F, {log2 n}, F), with
+    F = F({log2 n}).  The prediction for the probability that a uniformly
+    chosen part size of a uniform composition of n has multiplicity m is
 
         (1/m + F({log2 n})) / log n   (natural log).
     """
     n = float(n)
     if n <= 1:
         raise ValueError("n must exceed 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
     frac = math.log2(n) % 1.0
-    return (1.0 / m + fluctuation(frac, m, p_max)) / math.log(n)
+    wobble = fluctuation(frac, m)
+    scaled = 1.0 / m + wobble
+    return scaled / math.log(n), scaled, frac, wobble
+
+
+def predict_event_probability(n: float, m: int) -> float:
+    """The prediction of limit_law(n, m): (1/m + F({log2 n})) / log n."""
+    return limit_law(n, m)[0]

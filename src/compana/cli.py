@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -199,14 +200,12 @@ def cmd_prob(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    n, m = args.n, args.m
-    frac = math.log2(n) % 1.0
-    wobble = asymptotics.fluctuation(frac, m)
+    prediction, scaled, frac, wobble = asymptotics.limit_law(args.n, args.m)
     row = {
-        "n": n,
-        "m": m,
-        "prediction": asymptotics.predict_event_probability(n, m),
-        "scaled_value": 1.0 / m + wobble,
+        "n": args.n,
+        "m": args.m,
+        "prediction": prediction,
+        "scaled_value": scaled,
         "frac_log2_n": frac,
         "fluctuation": wobble,
     }
@@ -222,9 +221,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     row = {
         "n": n,
         "m": m,
-        "trials": estimate.trials,
-        "seed": estimate.seed,
-        "workers": estimate.workers,
+        "trials": args.trials,
+        "seed": args.seed,
+        "workers": args.workers,
         "mc": estimate.value,
         "mc_stderr": estimate.stderr,
         "prediction": prediction,
@@ -282,11 +281,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     law and by Monte Carlo.
     """
     m = args.m
-    cap = compositions.enumeration_cap()
     rows = []
     for n in args.n:
         exact = series_value = prediction = mc = mc_stderr = None
-        if n <= cap:
+        if n <= compositions.ENUMERATION_MAX_N:
             exact = float(compositions.exact_expected_sizes_with_multiplicity(n, m))
         if n <= SERIES_MAX_N:
             series_value = float(series.expected_sizes_with_multiplicity(n, m))
@@ -319,7 +317,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_rho(args: argparse.Namespace) -> int:
     root = singularity.solve_dominant_root(args.k)
     row = {
-        "k": root.k,
+        "k": args.k,
         "rho": root.value,
         "bracket_lo": root.bracket_lo,
         "bracket_hi": root.bracket_hi,
@@ -333,17 +331,28 @@ def cmd_rho(args: argparse.Namespace) -> int:
 def cmd_mellin(args: argparse.Namespace) -> int:
     result = asymptotics.harmonic_sum_result(args.n, args.m, args.p_max)
     row = {
-        "n": result.n,
-        "m": result.m,
+        "n": float(args.n),
+        "m": args.m,
         "direct": result.direct,
         "residue": result.residue,
         "rel_diff": abs(result.direct - result.residue) / result.direct,
         "k_lo": result.k_lo,
         "k_hi": result.k_hi,
-        "p_max": result.p_max,
+        "p_max": args.p_max,
     }
     emit([row], args)
     return EXIT_OK
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse an --out or --hist-out whose directory is missing or not
+    writable, before the command computes anything; creates no file."""
+    for path in (args.out, vars(args).get("hist_out")):
+        if not path:
+            continue
+        directory = os.path.dirname(path) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise OSError(f"cannot write {path}: {directory} is not a writable directory")
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -437,6 +446,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
         sys.set_int_max_str_digits(0)
     try:
+        _check_output_paths(args)
         return args.func(args)
     # ValueError covers EnumerationCapError; OverflowError a count too large
     # for a float, as in predict --n 10^400; OSError an --out or --hist-out

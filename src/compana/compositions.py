@@ -5,8 +5,8 @@ A composition of ``n`` is an ordered tuple of positive integers summing to
 many parts each size has.
 
 The module provides exact rational event probabilities and expected sizes
-up to a cap on ``n`` (25 by default, ``COMPANA_ENUM_CAP`` overrides it), from
-one walk over the partitions of ``n`` that weighs each by the number of
+for ``n`` up to the fixed cap ``ENUMERATION_MAX_N = 25``, from one walk
+over the partitions of ``n`` that weighs each by the number of
 compositions that reorder it, and seeded Monte Carlo estimators that remain
 practical for very large ``n`` (a profile of a uniform composition of
 ``n = 10**6`` is sampled in a few dozen vectorized draws of part-size counts
@@ -31,8 +31,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_ENUMERATION_CAP = 25
-ENUM_CAP_ENV_VAR = "COMPANA_ENUM_CAP"
+ENUMERATION_MAX_N = 25
 
 _MC_BATCH = 1 << 16
 
@@ -44,7 +43,7 @@ MC_MAX_N = 10**9
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an exhaustive enumeration would exceed the configured cap."""
+    """Raised when an exhaustive enumeration would exceed ENUMERATION_MAX_N."""
 
 
 @dataclass(frozen=True)
@@ -57,35 +56,12 @@ class EventEstimate:
 
     value: float
     stderr: float
-    trials: int
-    seed: int
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.value <= 1.0):
             raise ValueError(f"estimate {self.value} outside [0, 1]")
         if self.stderr < 0.0:
             raise ValueError("stderr must be nonnegative")
-
-
-def enumeration_cap() -> int:
-    """Current enumeration cap; the COMPANA_ENUM_CAP env var overrides it."""
-    raw = os.environ.get(ENUM_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"{ENUM_CAP_ENV_VAR} must be a positive integer")
-    return cap
-
-
-def _check_cap(n: int) -> None:
-    cap = enumeration_cap()
-    if n > cap:
-        raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap of {cap}; "
-            f"set {ENUM_CAP_ENV_VAR} to a larger cap to override"
-        )
 
 
 def _profile_census(n: int) -> Counter:
@@ -99,7 +75,8 @@ def _profile_census(n: int) -> Counter:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_cap(n)
+    if n > ENUMERATION_MAX_N:
+        raise EnumerationCapError(f"n={n} exceeds the enumeration cap of {ENUMERATION_MAX_N}")
     factorials = [1] * (n + 1)
     for i in range(1, n + 1):
         factorials[i] = factorials[i - 1] * i
@@ -226,37 +203,32 @@ def _profile_stats_batch(
     return distinct, hits
 
 
-def _mc_event_worker(args: tuple[int, int, int, int, int]) -> tuple[float, float, int]:
+def _mc_event_worker(args: tuple[int, int, int, int, int]) -> tuple[float, float]:
     import numpy as np
     n, m, trials, seed, worker = args
     rng = worker_rng(seed, worker)
     total = 0.0
     total_sq = 0.0
-    left = trials
-    while left > 0:
-        size = min(left, _MC_BATCH)
+    for done in range(0, trials, _MC_BATCH):
+        size = min(trials - done, _MC_BATCH)
         distinct, hits = _profile_stats_batch(n, size, rng, m)
         x = hits / distinct
         total += float(np.sum(x))
         total_sq += float(np.sum(x * x))
-        left -= size
-    return total, total_sq, trials
+    return total, total_sq
 
 
 def _distinct_hist_worker(args: tuple[int, int, int, int]) -> np.ndarray:
     import numpy as np
     n, trials, seed, worker = args
     rng = worker_rng(seed, worker)
-    hist = np.zeros(1, dtype=np.int64)
-    left = trials
-    while left > 0:
-        size = min(left, _MC_BATCH)
+    # d distinct sizes need n >= 1 + 2 + ... + d, so d <= isqrt(2n).
+    hist = np.zeros(math.isqrt(2 * n) + 1, dtype=np.int64)
+    for done in range(0, trials, _MC_BATCH):
+        size = min(trials - done, _MC_BATCH)
         distinct, _ = _profile_stats_batch(n, size, rng, None)
-        batch_hist = np.bincount(distinct)
-        if len(batch_hist) > len(hist):
-            hist = np.pad(hist, (0, len(batch_hist) - len(hist)))
-        hist[: len(batch_hist)] += batch_hist
-        left -= size
+        counts = np.bincount(distinct)
+        hist[: len(counts)] += counts
     return hist
 
 
@@ -302,7 +274,7 @@ def mc_event_probability(
         stderr = math.sqrt(var / trials)
     else:
         stderr = 0.0
-    return EventEstimate(value=value, stderr=stderr, trials=trials, seed=seed, workers=workers)
+    return EventEstimate(value=value, stderr=stderr)
 
 
 def distinct_size_histogram(
@@ -321,8 +293,4 @@ def distinct_size_histogram(
         (n, t, seed, w) for w, t in enumerate(_split_trials(trials, workers)) if t > 0
     ]
     hists = _run_workers(_distinct_hist_worker, tasks, workers)
-    width = max(len(h) for h in hists)
-    out = np.zeros(width, dtype=np.int64)
-    for h in hists:
-        out[: len(h)] += h
-    return out
+    return np.trim_zeros(sum(hists), "b")

@@ -23,7 +23,6 @@ class NumericalInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class DominantRoot:
-    k: int
     value: float
     bracket_lo: float
     bracket_hi: float
@@ -66,7 +65,7 @@ def solve_dominant_root(k: int) -> DominantRoot:
     lo, hi = root_bracket(k)
     x = 0.5 * (lo + hi) if k <= 3 else _series_root(k)
     if k > NEWTON_MAX_K:
-        return DominantRoot(k, x, lo, hi, abs(kernel_value(k, x)), "series-expansion")
+        return DominantRoot(x, lo, hi, abs(kernel_value(k, x)), "series-expansion")
     for _ in range(100):
         step = x - kernel_value(k, x) / kernel_derivative(k, x)
         if step == x:
@@ -86,7 +85,7 @@ def solve_dominant_root(k: int) -> DominantRoot:
     residual = abs(kernel_value(k, x))
     if residual > _RESIDUAL_TOL:
         raise NumericalInstabilityError(f"kernel residual {residual:.3e} at the root for k={k}")
-    return DominantRoot(k, x, lo, hi, residual, "bisection+newton")
+    return DominantRoot(x, lo, hi, residual, "bisection+newton")
 
 
 def _log_binomial(n: int, m: int) -> float:

@@ -20,7 +20,6 @@ import contextlib
 import io
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -110,8 +109,6 @@ def run(argv: tuple[str, ...], tmp: Path) -> dict:
 
 
 def main() -> None:
-    if "COMPANA_ENUM_CAP" in os.environ:
-        sys.exit("unset COMPANA_ENUM_CAP before recording")
     records = []
     for argv in INVOCATIONS:
         with tempfile.TemporaryDirectory() as tmp:

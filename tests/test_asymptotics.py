@@ -107,9 +107,10 @@ class TestHarmonicSumDirect:
             plain_harmonic_sum(n, m), rel=1e-12
         )
 
-    def test_truncation_invariance(self):
+    def test_truncation_invariance(self, monkeypatch):
         tight = direct_sum(1e6, 3)
-        wide, _, _ = asym._direct_sum(1e6, 3, rel_cutoff=1e-40)
+        monkeypatch.setattr(asym, "_DIRECT_CUTOFF", 1e-40)
+        wide = direct_sum(1e6, 3)
         assert abs(tight - wide) / tight < 1e-15
 
     def test_window_metadata(self):
@@ -147,7 +148,6 @@ class TestHarmonicSumResidues:
         result = asym.harmonic_sum_result(1e6, 2, p_max=5)
         assert result.direct == pytest.approx(result.residue, rel=1e-10)
         assert result.k_lo >= 1
-        assert result.p_max == 5
         assert result.direct > 0
 
 
@@ -262,11 +262,12 @@ class TestPrediction:
         "p_max,m_max", [(0, 170), (5, 141), (100, 104)],
     )
     def test_gamma_overflow_names_m_and_p_max(self, p_max, m_max):
-        routes = (
-            lambda m: asym.fluctuation(0.3, m, p_max),
-            lambda m: asym.predict_event_probability(1e6, m, p_max),
-            lambda m: asym.harmonic_sum_residues(1e6, m, p_max),
-        )
+        routes = [lambda m: asym.harmonic_sum_residues(1e6, m, p_max)]
+        if p_max == asym.DEFAULT_HARMONICS:
+            routes += [
+                lambda m: asym.fluctuation(0.3, m),
+                lambda m: asym.predict_event_probability(1e6, m),
+            ]
         for route in routes:
             assert math.isfinite(route(m_max))
             for m in (m_max + 1, m_max + 10, 10**9):

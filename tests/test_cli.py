@@ -126,11 +126,16 @@ class TestExactCommand:
         assert code == 2
         assert "cap" in err
 
-    def test_env_cap_override(self, capsys, monkeypatch):
+    def test_cap_is_fixed_at_25(self, capsys, monkeypatch):
+        # The environment variable that once moved the cap has no effect.
         monkeypatch.setenv("COMPANA_ENUM_CAP", "5")
-        code, _, err = run_cli(capsys, "exact", "--n", "6")
+        code, out, _ = run_cli(capsys, "exact", "--n", "25", "--m", "1")
+        assert code == 0
+        assert out.startswith("m,probability,decimal\n1,")
+        code, out, err = run_cli(capsys, "exact", "--n", "26")
         assert code == 2
-        assert "COMPANA_ENUM_CAP" in err
+        assert out == ""
+        assert "enumeration cap of 25" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "--n", "5", "--format", "json")
@@ -183,6 +188,19 @@ class TestPredictCommand:
         code, out, _ = run_cli(capsys, "predict", "--n", "5", "--m", "1")
         assert code == 0
         assert float(out.strip().splitlines()[1].split(",")[2]) > 0
+
+    def test_one_gamma_series_per_row(self, capsys, monkeypatch):
+        calls = []
+        gamma = cli.asymptotics.complex_gamma
+
+        def counted(z):
+            calls.append(z)
+            return gamma(z)
+
+        monkeypatch.setattr(cli.asymptotics, "complex_gamma", counted)
+        code, _, _ = run_cli(capsys, "predict", "--n", "1e6", "--m", "2")
+        assert code == 0
+        assert len(calls) == cli.asymptotics.DEFAULT_HARMONICS
 
 
 class TestSampleCommand:
@@ -393,6 +411,37 @@ class TestOutputPlumbing:
         assert out == ""
         assert err.startswith("error: ")
         assert str(missing) in err
+
+    @pytest.mark.parametrize(
+        "argv,target",
+        [
+            (("sample", "--n", "1e6", "--m", "1", "--trials", "2e5", "--out", "{bad}/x.csv"), "x.csv"),
+            (("distinct", "--n", "1e6", "--trials", "2e5", "--hist-out", "{bad}/h.csv"), "h.csv"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["missing", "file"])
+    def test_unwritable_output_fails_before_sampling(
+        self, capsys, tmp_path, monkeypatch, argv, target, bad
+    ):
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("sampled before the output path was checked")
+
+        monkeypatch.setattr(cli.compositions, "mc_event_probability", must_not_sample)
+        monkeypatch.setattr(cli.compositions, "distinct_size_histogram", must_not_sample)
+        (tmp_path / "file").write_text("")
+        bad_dir = tmp_path / bad
+        code, out, err = run_cli(capsys, *(a.format(bad=bad_dir) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot write {bad_dir / target}: {bad_dir} is not a writable directory\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_out_file_in_the_working_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "rho", "--k", "3", "--out", "rho.csv")
+        assert (code, out) == (0, "")
+        assert (tmp_path / "rho.csv").read_text().startswith("k,rho,")
 
     def test_precision_flag(self, capsys):
         _, out12, _ = run_cli(capsys, "rho", "--k", "3")

@@ -82,26 +82,18 @@ class TestEnumeration:
     def test_cap_refusal(self):
         for route in self.EXACT_ROUTES:
             with pytest.raises(comps.EnumerationCapError, match="cap"):
-                route(26)
+                route(comps.ENUMERATION_MAX_N + 1)
 
     def test_cap_parameter(self):
-        # The message states the cap and how to override it.
+        # The message states the cap.
         for route in self.EXACT_ROUTES:
             with pytest.raises(comps.EnumerationCapError) as info:
-                route(26)
-            message = str(info.value)
-            assert str(comps.DEFAULT_ENUMERATION_CAP) in message
-            assert comps.ENUM_CAP_ENV_VAR in message
+                route(comps.ENUMERATION_MAX_N + 1)
+            assert f"enumeration cap of {comps.ENUMERATION_MAX_N}" in str(info.value)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(comps.ENUM_CAP_ENV_VAR, "6")
-        assert comps.enumeration_cap() == 6
+    def test_cap_boundary(self):
         for route in self.EXACT_ROUTES:
-            with pytest.raises(comps.EnumerationCapError):
-                route(7)
-            assert route(6) is not None
-        monkeypatch.delenv(comps.ENUM_CAP_ENV_VAR)
-        assert comps.enumeration_cap() == comps.DEFAULT_ENUMERATION_CAP
+            assert route(comps.ENUMERATION_MAX_N) is not None
 
 
 class TestMultiplicityProfile:
@@ -160,7 +152,7 @@ class TestExactEventProbability:
 
     def test_every_m_respects_cap(self):
         with pytest.raises(comps.EnumerationCapError):
-            comps.exact_event_probabilities(26)
+            comps.exact_event_probabilities(comps.ENUMERATION_MAX_N + 1)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_census_against_brute_force(self, n):
@@ -175,7 +167,7 @@ class TestExactEventProbability:
             assert every_m.get(m, 0) == event_probability_by_enumeration(n, m)
 
     def test_total_probability_one_at_cap(self):
-        assert sum(comps.exact_event_probabilities(comps.DEFAULT_ENUMERATION_CAP).values()) == 1
+        assert sum(comps.exact_event_probabilities(comps.ENUMERATION_MAX_N).values()) == 1
 
 
 class TestSampling:
@@ -223,6 +215,17 @@ class TestProfileSampler:
         var = sum(c * (d - mean) ** 2 for d, c in enumerate(hist)) / (trials - 1)
         stderr = math.sqrt(var / trials)
         assert abs(mean - 30 / 16) <= 5 * stderr
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_histogram_reaches_the_most_distinct_sizes(self, d, workers):
+        # n = 1 + 2 + ... + d is the smallest n with d distinct sizes, and
+        # the d! orderings of (1, ..., d) are its only such compositions.
+        n = d * (d + 1) // 2
+        hist = comps.distinct_size_histogram(n, 4000, seed=3, workers=workers)
+        assert len(hist) == d + 1
+        p = math.factorial(d) / 2 ** (n - 1)
+        assert abs(hist[d] / 4000 - p) < 6 * math.sqrt(p * (1 - p) / 4000) + 1 / 4000
 
     def test_large_n_runs(self):
         estimate = comps.mc_event_probability(10**6, 1, trials=2_000, seed=5)

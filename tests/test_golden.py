@@ -15,6 +15,5 @@ def test_corpus_matches_invocation_list():
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])
-def test_replay_is_byte_identical(record, tmp_path, monkeypatch):
-    monkeypatch.delenv("COMPANA_ENUM_CAP", raising=False)
+def test_replay_is_byte_identical(record, tmp_path):
     assert run(tuple(record["argv"]), tmp_path) == record

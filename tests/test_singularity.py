@@ -28,7 +28,7 @@ def reference_root(k):
     lo, hi = singularity.root_bracket(k)
     if k > singularity.NEWTON_MAX_K:
         x = 0.5 + 2.0 ** -(k + 2)
-        return (k, x, lo, hi, abs(singularity.kernel_value(k, x)), "series-expansion")
+        return (x, lo, hi, abs(singularity.kernel_value(k, x)), "series-expansion")
     a, b = lo, hi
     for _ in range(200):
         mid = 0.5 * (a + b)
@@ -54,13 +54,13 @@ def reference_root(k):
         if candidate == x:
             break
         x = candidate
-    return (k, x, lo, hi, abs(singularity.kernel_value(k, x)), "bisection+newton")
+    return (x, lo, hi, abs(singularity.kernel_value(k, x)), "bisection+newton")
 
 
 def reference_leading_term(n, k, m):
     # Reference estimate: the leading term from the reference root, with
     # every log assembled here rather than in the shared helper.
-    rho = reference_root(k)[1]
+    rho = reference_root(k)[0]
     qprime = singularity.kernel_derivative(k, rho)
     log_p = k * m * math.log(rho) + (m + 1) * math.log1p(-rho)
     log_value = (
@@ -112,7 +112,7 @@ class TestDominantRoot:
         # k <= NEWTON_MAX_K is the whole Newton domain: the walk must stop
         # on the bisection's pair of doubles for every one of them.
         root = singularity.solve_dominant_root(k)
-        fields = (root.k, root.value, root.bracket_lo, root.bracket_hi, root.residual, root.method)
+        fields = (root.value, root.bracket_lo, root.bracket_hi, root.residual, root.method)
         assert fields == reference_root(k)
 
     def test_k50_series_expansion(self):
