@@ -413,15 +413,15 @@ class TestOutputPlumbing:
         assert str(missing) in err
 
     @pytest.mark.parametrize(
-        "argv,target",
+        "argv",
         [
-            (("sample", "--n", "1e6", "--m", "1", "--trials", "2e5", "--out", "{bad}/x.csv"), "x.csv"),
-            (("distinct", "--n", "1e6", "--trials", "2e5", "--hist-out", "{bad}/h.csv"), "h.csv"),
+            ("sample", "--n", "1e6", "--m", "1", "--trials", "2e5", "--out", "{bad}/x.csv"),
+            ("distinct", "--n", "1e6", "--trials", "2e5", "--hist-out", "{bad}/x.csv"),
         ],
     )
     @pytest.mark.parametrize("bad", ["missing", "file"])
     def test_unwritable_output_fails_before_sampling(
-        self, capsys, tmp_path, monkeypatch, argv, target, bad
+        self, capsys, tmp_path, monkeypatch, argv, bad
     ):
         def must_not_sample(*args, **kwargs):
             raise AssertionError("sampled before the output path was checked")
@@ -433,7 +433,7 @@ class TestOutputPlumbing:
         code, out, err = run_cli(capsys, *(a.format(bad=bad_dir) for a in argv))
         assert (code, out) == (2, "")
         assert err == (
-            f"error: cannot write {bad_dir / target}: {bad_dir} is not a writable directory\n"
+            f"error: cannot write {bad_dir / 'x.csv'}: {bad_dir} is not a writable directory\n"
         )
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
