@@ -34,6 +34,9 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("exact", "--n", "10", "--m", "2"),
     ("exact", "--n", "10", "--m", "3", "--format", "json", "--precision", "4"),
     ("exact", "--n", "30"),
+    # exact and compare at the enumeration cap.
+    ("exact", "--n", "25", "--precision", "17"),
+    ("exact", "--n", "25", "--m", "7", "--format", "json"),
     # prob: series, singularity and both.
     ("prob", "--n", "2000", "--k", "5", "--m", "2", "--route", "both"),
     ("prob", "--n", "2000", "--k", "5", "--m", "2", "--route", "both", "--format", "json",
@@ -77,6 +80,7 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("compare", "--n", "12,50", "--m", "2", "--trials", "1000", "--seed", "9", "--workers", "2"),
     ("compare", "--n", "1e5..4e5", "--m", "1", "--precision", "17"),
     ("compare", "--n", "300,1500", "--m", "3", "--precision", "17"),
+    ("compare", "--n", "20..25", "--m", "2", "--precision", "17"),
     # rho: both root methods.
     ("rho", "--k", "1"),
     ("rho", "--k", "12", "--format", "json"),
