@@ -113,6 +113,16 @@ def parse_positive_int(text: str) -> int:
     return value
 
 
+def _parse_harmonics(text: str) -> int:
+    """A harmonic count for mellin: a count from 0 to MAX_HARMONICS."""
+    p_max = parse_count(text)
+    if not 0 <= p_max <= asymptotics.MAX_HARMONICS:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and {asymptotics.MAX_HARMONICS}, not {p_max}"
+        )
+    return p_max
+
+
 def _fmt_value(value: Any, precision: int) -> Any:
     if value is None:
         return None
@@ -430,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mellin", help="harmonic sum, direct vs. residue series")
     p.add_argument("--n", type=parse_count, required=True)
     p.add_argument("--m", type=parse_count, required=True)
-    p.add_argument("--p-max", type=parse_count, default=asymptotics.DEFAULT_HARMONICS)
+    p.add_argument("--p-max", type=_parse_harmonics, default=asymptotics.DEFAULT_HARMONICS)
     _add_output_options(p)
     p.set_defaults(func=cmd_mellin)
 

@@ -5,9 +5,11 @@ A composition of ``n`` is an ordered tuple of positive integers summing to
 many parts each size has.
 
 The module provides exact rational event probabilities and expected sizes
-for ``n`` up to the fixed cap ``ENUMERATION_MAX_N = 25``, from one walk
-over the partitions of ``n`` that weighs each by the number of
-compositions that reorder it, and seeded Monte Carlo estimators that remain
+for ``n`` up to the fixed cap ``ENUMERATION_MAX_N = 25``, read from one
+integer table W[c][d]: over the compositions with d distinct sizes, the
+sizes that occur c times.  One walk over the partitions of ``n`` fills it,
+weighing each by the number of compositions that reorder it (about 5 ms
+at n = 25).  It also provides seeded Monte Carlo estimators that remain
 practical for very large ``n`` (a profile of a uniform composition of
 ``n = 10**6`` is sampled in a few dozen vectorized draws of part-size counts
 rather than by materializing ~n/2 parts).
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -64,14 +65,16 @@ class EventEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def _profile_census(n: int) -> Counter:
-    """Multiplicity profiles of the compositions of ``n``, each with the
-    number of compositions that have it.
+def _weight_table(n: int) -> list[list[int]]:
+    """W[c][d], for c = 0..n and d = 0..isqrt(2n): over the compositions of
+    ``n`` with d distinct part sizes, the number of sizes that occur exactly
+    c times, summed.
 
     Walks the partitions of ``n`` (297 at n = 17, against 2**16
     compositions): part sizes in increasing order, each with a multiplicity
-    c >= 1.  A partition with multiplicities (c_k) and p = sum c_k parts is
-    the sorted form of p! / prod c_k! compositions, all with its profile.
+    c >= 1.  A partition with multiplicities (c_k), d sizes and
+    p = sum c_k parts is the sorted form of p! / prod c_k! compositions,
+    so that count goes to W[c_k][d] once for each of its sizes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -80,13 +83,17 @@ def _profile_census(n: int) -> Counter:
     factorials = [1] * (n + 1)
     for i in range(1, n + 1):
         factorials[i] = factorials[i - 1] * i
-    census: Counter = Counter()
+    # d distinct sizes need n >= 1 + 2 + ... + d, so d <= isqrt(2n).
+    table = [[0] * (math.isqrt(2 * n) + 1) for _ in range(n + 1)]
     mults: list[int] = []
 
     def walk(rest: int, smallest: int, parts: int, orderings: int) -> None:
         # orderings = product of c! over the sizes chosen so far.
         if rest == 0:
-            census[tuple(sorted(mults))] += factorials[parts] // orderings
+            count = factorials[parts] // orderings
+            d = len(mults)
+            for c in mults:
+                table[c][d] += count
             return
         for k in range(smallest, rest + 1):
             for c in range(1, rest // k + 1):
@@ -95,19 +102,19 @@ def _profile_census(n: int) -> Counter:
                 mults.pop()
 
     walk(n, 1, 0, 1)
-    return census
+    return table
 
 
-def _event_probability(census: Counter, n: int, m: int) -> Fraction:
-    pair_counts: Counter = Counter()
-    for multiplicities, count in census.items():
-        hits = multiplicities.count(m)
-        if hits:
-            pair_counts[(hits, len(multiplicities))] += count
-    total = Fraction(0)
-    for (hits, dd), count in sorted(pair_counts.items()):
-        total += Fraction(hits * count, dd)
-    return total / (1 << (n - 1))
+def _table_row(n: int, m: int) -> list[int]:
+    """Row m of the weight table of ``n``; no size occurs more than n times."""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    table = _weight_table(n)
+    return table[m] if m <= n else []
+
+
+def _event_probability(row: list[int], n: int) -> Fraction:
+    return sum((Fraction(w, d) for d, w in enumerate(row) if w), Fraction(0)) / (1 << (n - 1))
 
 
 def exact_event_probability(n: int, m: int) -> Fraction:
@@ -117,26 +124,20 @@ def exact_event_probability(n: int, m: int) -> Fraction:
     Averages |{sizes with multiplicity m}| / |{distinct sizes}| over all
     2**(n-1) compositions, in exact rational arithmetic.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    return _event_probability(_profile_census(n), n, m)
+    return _event_probability(_table_row(n, m), n)
 
 
 def exact_event_probabilities(n: int) -> dict[int, Fraction]:
     """exact_event_probability for every m = 1..n at which it is nonzero,
     in increasing m, from a single walk over the partitions."""
-    census = _profile_census(n)
-    return {m: p for m in range(1, n + 1) if (p := _event_probability(census, n, m))}
+    table = _weight_table(n)
+    return {m: p for m in range(1, n + 1) if (p := _event_probability(table[m], n))}
 
 
 def exact_expected_sizes_with_multiplicity(n: int, m: int) -> Fraction:
     """Exact expected number of part sizes with multiplicity ``m``, averaged
     over all compositions of ``n`` (enumeration route)."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    census = _profile_census(n)
-    total = sum(multiplicities.count(m) * count for multiplicities, count in census.items())
-    return Fraction(total, 1 << (n - 1))
+    return Fraction(sum(_table_row(n, m)), 1 << (n - 1))
 
 
 def worker_rng(seed: int, worker: int) -> np.random.Generator:

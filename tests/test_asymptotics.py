@@ -144,6 +144,20 @@ class TestHarmonicSumResidues:
         values = {asym.harmonic_sum_residues(2.0**t, 1, p_max=5) for t in (8, 12, 20, 30)}
         assert max(values) - min(values) < 1e-14
 
+    @pytest.mark.parametrize("n", [37, 1e3, 1e6, 123456789, 1e9, 3e11, 1e12, 1e100])
+    def test_default_harmonics_exact_for_small_m(self, n):
+        # Five harmonics give the double that 30 give up to m = 18; from
+        # m ~ 28 on they do not (1e-4 relative at m = 100).
+        for m in range(1, 19):
+            assert asym.harmonic_sum_residues(n, m) == asym.harmonic_sum_residues(n, m, 30)
+
+    def test_no_harmonic_past_the_cap_moves_the_sum(self):
+        # The mellin --p-max cap is far past the last harmonic that counts.
+        for m in (1, 40, 104):
+            assert asym.harmonic_sum_residues(1e6, m, 13) == asym.harmonic_sum_residues(
+                1e6, m, asym.MAX_HARMONICS
+            )
+
     def test_result_bundle(self):
         result = asym.harmonic_sum_result(1e6, 2, p_max=5)
         assert result.direct == pytest.approx(result.residue, rel=1e-10)

@@ -388,6 +388,24 @@ class TestMellinCommand:
         assert float(record["rel_diff"]) < 1e-8
         assert int(record["k_lo"]) >= 1
 
+    @pytest.mark.parametrize("p_max", ["101", "1e5", "10^9", "-1"])
+    def test_p_max_outside_the_cap_refused_while_parsing(self, p_max, capsys, monkeypatch):
+        def must_not_sum(*args, **kwargs):
+            raise AssertionError("summed before the arguments were checked")
+
+        monkeypatch.setattr(cli.asymptotics, "harmonic_sum_result", must_not_sum)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["mellin", "--n", "1e6", "--m", "1", "--p-max", p_max])
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (2, "")
+        assert f"must be between 0 and {cli.asymptotics.MAX_HARMONICS}" in captured.err
+
+    def test_p_max_at_the_cap_runs(self, capsys):
+        cap = str(cli.asymptotics.MAX_HARMONICS)
+        code, out, _ = run_cli(capsys, "mellin", "--n", "1e6", "--m", "1", "--p-max", cap)
+        assert code == 0
+        assert out.splitlines()[1].endswith(f",{cap}")
+
 
 class TestOutputPlumbing:
     def test_out_file(self, capsys, tmp_path):

@@ -156,15 +156,33 @@ class TestExactEventProbability:
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_census_against_brute_force(self, n):
-        census = comps._profile_census(n)
-        assert sum(census.values()) == 1 << (n - 1)
-        assert census == Counter(
-            tuple(sorted(multiplicity_profile(parts).values()))
-            for parts in brute_force_compositions(n)
-        )
+        # W[c][d] sums, over the compositions with d distinct sizes, the
+        # sizes that occur c times.
+        expected = Counter()
+        for parts in brute_force_compositions(n):
+            profile = multiplicity_profile(parts)
+            for c in profile.values():
+                expected[(c, len(profile))] += 1
+        table = comps._weight_table(n)
+        assert {(c, d): w for c, row in enumerate(table) for d, w in enumerate(row) if w} == expected
         every_m = comps.exact_event_probabilities(n)
         for m in range(1, n + 1):
             assert every_m.get(m, 0) == event_probability_by_enumeration(n, m)
+
+    @pytest.mark.parametrize("n", range(1, comps.ENUMERATION_MAX_N + 1))
+    def test_weight_table_counts_every_composition_once(self, n):
+        # A composition with d distinct sizes adds 1 to d cells of column d.
+        table = comps._weight_table(n)
+        assert sum(Fraction(w, d) for row in table for d, w in enumerate(row) if w) == 1 << (n - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, comps.ENUMERATION_MAX_N])
+    def test_multiplicity_past_n_reads_zero(self, n):
+        for m in (n + 1, 2 * n + 5):
+            probability = comps.exact_event_probability(n, m)
+            sizes = comps.exact_expected_sizes_with_multiplicity(n, m)
+            assert (probability, sizes) == (0, 0)
+            assert isinstance(probability, Fraction) and isinstance(sizes, Fraction)
+            assert m not in comps.exact_event_probabilities(n)
 
     def test_total_probability_one_at_cap(self):
         assert sum(comps.exact_event_probabilities(comps.ENUMERATION_MAX_N).values()) == 1
