@@ -22,9 +22,7 @@ from dataclasses import dataclass
 LN2 = math.log(2.0)
 
 DEFAULT_HARMONICS = 5
-# No harmonic past p = 12 moved harmonic_sum_residues for any m = 1..170 at
-# 52 n from 37 to 1e300; mellin --p-max refuses more than this while parsing.
-MAX_HARMONICS = 100
+MAX_HARMONICS = 100  # mellin --p-max; no harmonic past p = 12 moves the sum
 _DIRECT_CUTOFF = 1e-20
 
 # Lanczos approximation, g = 607/128 with 15 terms (Godfrey's set); relative
@@ -153,10 +151,8 @@ def harmonic_sum_residues(n: float, m: int, p_max: int = DEFAULT_HARMONICS) -> f
                           e^(-2 pi i p {log2 n}) Gamma(m + 2 pi i p / log 2) ].
 
     The oscillatory phase is taken from the fractional part of log2(n), so
-    large n loses no precision to the integer part.  Harmonic p falls like
-    exp(-p pi^2 / log 2) times a factor that grows with m, so p_max = 5
-    gives the double that 30 harmonics give only up to m ~ 27; it is off
-    by up to 3e-13 relative at m = 40, 4e-10 at m = 60 and 1e-4 at m = 100.
+    large n loses no precision to the integer part.  p_max = 5 equals 30
+    harmonics to the bit up to m ~ 27, but is 3e-13 off at m = 40, 1e-4 at 100.
     """
     n, m = _validate_sum_args(n, m)
     if p_max < 0:

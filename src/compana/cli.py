@@ -114,12 +114,10 @@ def parse_positive_int(text: str) -> int:
 
 
 def _parse_harmonics(text: str) -> int:
-    """A harmonic count for mellin: a count from 0 to MAX_HARMONICS."""
+    """A harmonic count for mellin, from 0 to asymptotics.MAX_HARMONICS."""
     p_max = parse_count(text)
     if not 0 <= p_max <= asymptotics.MAX_HARMONICS:
-        raise argparse.ArgumentTypeError(
-            f"must be between 0 and {asymptotics.MAX_HARMONICS}, not {p_max}"
-        )
+        raise argparse.ArgumentTypeError(f"must be between 0 and {asymptotics.MAX_HARMONICS}")
     return p_max
 
 

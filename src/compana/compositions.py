@@ -6,10 +6,8 @@ many parts each size has.
 
 The module provides exact rational event probabilities and expected sizes
 for ``n`` up to the fixed cap ``ENUMERATION_MAX_N = 25``, read from one
-integer table W[c][d]: over the compositions with d distinct sizes, the
-sizes that occur c times.  One walk over the partitions of ``n`` fills it,
-weighing each by the number of compositions that reorder it (about 5 ms
-at n = 25).  It also provides seeded Monte Carlo estimators that remain
+table that a walk over the partitions of ``n`` fills (about 5 ms at
+n = 25), and seeded Monte Carlo estimators that remain
 practical for very large ``n`` (a profile of a uniform composition of
 ``n = 10**6`` is sampled in a few dozen vectorized draws of part-size counts
 rather than by materializing ~n/2 parts).
@@ -66,23 +64,19 @@ class EventEstimate:
 
 
 def _weight_table(n: int) -> list[list[int]]:
-    """W[c][d], for c = 0..n and d = 0..isqrt(2n): over the compositions of
-    ``n`` with d distinct part sizes, the number of sizes that occur exactly
-    c times, summed.
+    """W[c][d]: the sizes that occur c times, summed over the compositions
+    of ``n`` with d distinct sizes (c <= n, d <= isqrt(2n)).
 
     Walks the partitions of ``n`` (297 at n = 17, against 2**16
     compositions): part sizes in increasing order, each with a multiplicity
-    c >= 1.  A partition with multiplicities (c_k), d sizes and
-    p = sum c_k parts is the sorted form of p! / prod c_k! compositions,
-    so that count goes to W[c_k][d] once for each of its sizes.
+    c >= 1.  A partition with multiplicities (c_k) and p = sum c_k parts is
+    the sorted form of p! / prod c_k! compositions; each c_k adds them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > ENUMERATION_MAX_N:
         raise EnumerationCapError(f"n={n} exceeds the enumeration cap of {ENUMERATION_MAX_N}")
-    factorials = [1] * (n + 1)
-    for i in range(1, n + 1):
-        factorials[i] = factorials[i - 1] * i
+    factorials = [math.factorial(i) for i in range(n + 1)]
     # d distinct sizes need n >= 1 + 2 + ... + d, so d <= isqrt(2n).
     table = [[0] * (math.isqrt(2 * n) + 1) for _ in range(n + 1)]
     mults: list[int] = []
@@ -91,9 +85,8 @@ def _weight_table(n: int) -> list[list[int]]:
         # orderings = product of c! over the sizes chosen so far.
         if rest == 0:
             count = factorials[parts] // orderings
-            d = len(mults)
             for c in mults:
-                table[c][d] += count
+                table[c][len(mults)] += count
             return
         for k in range(smallest, rest + 1):
             for c in range(1, rest // k + 1):

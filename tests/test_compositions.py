@@ -164,7 +164,8 @@ class TestExactEventProbability:
             for c in profile.values():
                 expected[(c, len(profile))] += 1
         table = comps._weight_table(n)
-        assert {(c, d): w for c, row in enumerate(table) for d, w in enumerate(row) if w} == expected
+        cells = {(c, d): w for c, row in enumerate(table) for d, w in enumerate(row) if w}
+        assert cells == expected
         every_m = comps.exact_event_probabilities(n)
         for m in range(1, n + 1):
             assert every_m.get(m, 0) == event_probability_by_enumeration(n, m)
@@ -183,6 +184,12 @@ class TestExactEventProbability:
             assert (probability, sizes) == (0, 0)
             assert isinstance(probability, Fraction) and isinstance(sizes, Fraction)
             assert m not in comps.exact_event_probabilities(n)
+
+    def test_multiplicity_past_n_still_checks_the_cap(self):
+        n = comps.ENUMERATION_MAX_N + 1
+        for route in (comps.exact_event_probability, comps.exact_expected_sizes_with_multiplicity):
+            with pytest.raises(comps.EnumerationCapError):
+                route(n, n + 1)
 
     def test_total_probability_one_at_cap(self):
         assert sum(comps.exact_event_probabilities(comps.ENUMERATION_MAX_N).values()) == 1
