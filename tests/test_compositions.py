@@ -172,7 +172,7 @@ class TestExactEventProbability:
 
     @pytest.mark.parametrize("n", range(1, comps.ENUMERATION_MAX_N + 1))
     def test_weight_table_counts_every_composition_once(self, n):
-        # A composition with d distinct sizes adds 1 to d cells of column d.
+        # A composition with d distinct sizes adds 1 to column d per size.
         table = comps._weight_table(n)
         assert sum(Fraction(w, d) for row in table for d, w in enumerate(row) if w) == 1 << (n - 1)
 
