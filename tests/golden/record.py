@@ -74,6 +74,10 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("distinct", "--n", "5000", "--trials", "1000", "--seed", "6", "--precision", "17",
      "--format", "json"),
     ("distinct", "--n", "40000", "--trials", "500", "--seed", "8", "--precision", "17"),
+    # distinct between n = 512 and 2000, and at the largest n.
+    ("distinct", "--n", "600", "--trials", "500", "--seed", "2", "--precision", "17"),
+    ("distinct", "--n", "1e9", "--trials", "200", "--seed", "2", "--precision", "17",
+     "--format", "json"),
     # compare: every route, with and without Monte Carlo.
     ("compare", "--n", "10,100,400", "--m", "1"),
     ("compare", "--n", "12,50", "--m", "2", "--trials", "1000", "--seed", "9", "--format", "json"),
