@@ -9,7 +9,7 @@ in the rational function
 Dividing by ``2**(n-1)`` gives the exact occurrence probability.  Everything
 here is integer/rational arithmetic; floats appear only in callers.
 
-A count comes from one of two routes, and count_with_multiplicity alone
+A count comes from one of two routes, and one rule, _counts_by_power,
 chooses between them:
 
 - the power: ``x^n`` raised modulo the characteristic polynomial of the
@@ -20,10 +20,9 @@ chooses between them:
 - inclusion-exclusion over marked parts equal to k, about (n/k)^2 / 2
   small-by-big integer steps, cheap for large k.
 
-The power engine is a midpoint-radius one: at 0 fractional bits it is exact
-and serves the coefficients; at 160 bits, against the polynomial scaled by
-2^-i, it gives the certified intervals that the window bounds use from
-n = 2000 on instead of n-bit coefficients, so they stay rigorous.
+Past n = 512 the window bound needs P(size j absent) only to a fixed
+number of bits, and takes the terms the power would count from a proved
+dominant-pole interval instead (_absent_interval).
 """
 
 from __future__ import annotations
@@ -68,21 +67,11 @@ _SQUARE_SPLIT_MIN_LEN_BITS = 8192
 
 # Window bounds: up to this n every term is exact; above it the upper tail
 # past high + _WINDOW_TAIL_TERMS is replaced by a closed-form majorant, and
-# from n = _WINDOW_CERTIFIED_MIN_N on a term of size j with
-# _WINDOW_CERTIFIED_N_PER_J * j <= n is a certified interval at
-# _WINDOW_BITS fractional bits.
+# the terms that the power would count come from the dominant pole, at
+# _WINDOW_BITS + j fractional bits or more.
 _WINDOW_EXACT_MAX_N = 512  # a majorant here moves printed bounds at 12 digits
 _WINDOW_BITS = 160
 _WINDOW_TAIL_TERMS = 12
-# Measured for n = 513..8000 (Python 3.11 plain ints, 2-CPU x86-64 VM), one
-# certified term against the exact count(n, j, 0): against the power route
-# (small j) the exact term is cheaper below n = 2000 (1.4-1.9x at
-# n = 513..1400, 0.9-1.4x at 2000) and dearer from n = 4000 (0.4-0.95x);
-# against inclusion-exclusion (larger j) the two cost the same near
-# j = n/90 (j = 22-24 at n = 2000, 25 at 2250, 27 at 2500, 30 at 3000), and
-# the certified term costs 1.1-2.4x the exact one at j = n/90..n/60.
-_WINDOW_CERTIFIED_MIN_N = 2000
-_WINDOW_CERTIFIED_N_PER_J = 90
 
 
 @dataclass(frozen=True)
@@ -158,38 +147,15 @@ def _recurrence_ring(spec: RationalFunctionSpec, stop: int) -> list:
     return window
 
 
-# The power engine works on interval vectors: two integer lists mid, rad,
-# with rad >= 0, standing for every real vector A whose entries satisfy
-# |A_i * 2^bits - mid_i| <= rad_i at a fixed scale 2^bits.  It reduces
-# modulo x^d + sum_j den_j 2^-s_j x^(d-j), given as triples (j, den_j, s_j):
-# s_j = 0 for the integer characteristic polynomial, s_j = j for the one
-# scaled by 2^-i.  Each helper returns an interval vector that contains the
-# exact result of its operation applied to every member of its input, so
-# the invariant carries from x^0 = [1 +- 0] through the whole power:
-# products are exact integer convolutions of the midpoints with a radius
-# from the triangle inequality, and each inexact step rounds a midpoint to
-# an integer within one unit (up in the reduction, which subtracts a floor;
-# down in the rescale, which floors) and widens its radius by that unit.
-# A step that drops only zero bits is exact and widens nothing, so at
-# bits = 0 with integer data every radius stays 0 and the power is exact.
-
-
-def _interval_reduce(mid: list, rad: list, den: list[tuple[int, int, int]], d: int):
-    """Interval vector reduced, at its own scale, modulo the characteristic
-    polynomial given by den."""
-    for deg in range(len(mid) - 1, d - 1, -1):
-        c, r = mid[deg], rad[deg]
-        if not (c or r):
-            continue
-        for j, dj, s in den:
-            # x_deg in [c - r, c + r] moves -x_deg * dj / 2^s to deg - j.
-            # With t = c * dj, floor(t / 2^s) lies within one unit below
-            # t / 2^s, and |x_deg * dj - t| / 2^s <= ceil(r |dj| / 2^s).
-            t = c * dj
-            mid[deg - j] -= t >> s
-            if r or s:  # else the step is exact and widens nothing
-                rad[deg - j] += -((-r * abs(dj)) >> s) + (1 if t & ((1 << s) - 1) else 0)
-    return mid[:d], rad[:d]
+def _reduce(poly: list, den: list[tuple[int, int]], d: int) -> list:
+    """poly reduced modulo x^d + sum_j den_j x^(d-j), den given as (j, den_j)
+    pairs: the characteristic polynomial of the denominator."""
+    for deg in range(len(poly) - 1, d - 1, -1):
+        c = poly[deg]
+        if c:
+            for j, dj in den:
+                poly[deg - j] -= c * dj
+    return poly[:d]
 
 
 def _poly_square(a: list) -> list:
@@ -228,43 +194,15 @@ def _poly_square(a: list) -> list:
     return sq
 
 
-def _interval_square_mod(
-    mid: list, rad: list, den: list[tuple[int, int, int]], d: int, bits: int
-):
-    """Square of an interval vector at scale 2^bits modulo the characteristic
-    polynomial given by den, back at scale 2^bits."""
-    size = 2 * d - 1
-    sq = _poly_square(mid)
-    # |x_i x_j - m_i m_j| <= |m_i| r_j + r_i |m_j| + r_i r_j; summed over the
-    # ordered pairs with i + j = k this is sum (2|m_i| + r_i) r_j.
-    err = [0] * size
-    if any(rad):  # exact inputs square exactly
-        widened = [2 * abs(a) + r for a, r in zip(mid, rad)]
-        for j, r in enumerate(rad):
-            if r:
-                for i, w in enumerate(widened):
-                    err[i + j] += w * r
-    sq, err = _interval_reduce(sq, err, den, d)
-    if not bits:  # no bits to drop
-        return sq, err
-    # Back from scale 2^(2 bits): floor loses less than one unit.
-    mask = (1 << bits) - 1
-    return (
-        [v >> bits for v in sq],
-        [-((-e) >> bits) + (1 if v & mask else 0) for v, e in zip(sq, err)],
-    )
-
-
-def _power_of_x(n: int, den: list[tuple[int, int, int]], d: int, bits: int):
+def _power_of_x(n: int, den: list[tuple[int, int]], d: int) -> list:
     """x^n modulo the characteristic polynomial given by den, by
-    square-and-multiply, as an interval vector at scale 2^bits."""
-    mid = [mpz(1) << bits] + [0] * (d - 1)
-    rad = [0] * d
+    square-and-multiply."""
+    power = [mpz(1)] + [0] * (d - 1)
     for bit in bin(n)[2:]:
-        mid, rad = _interval_square_mod(mid, rad, den, d, bits)
+        power = _reduce(_poly_square(power), den, d)
         if bit == "1":  # times x: a shift, then one reduction
-            mid, rad = _interval_reduce([0, *mid], [0, *rad], den, d)
-    return mid, rad
+            power = _reduce([0, *power], den, d)
+    return power
 
 
 def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
@@ -277,8 +215,8 @@ def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
     # len(numerator) <= d on, so the exact x^n reduced against the
     # characteristic polynomial contracts c_n onto the initial window.
     d = spec.denominator_degree
-    den = [(j, c, 0) for j, c in enumerate(spec.denominator) if j and c]
-    power, _ = _power_of_x(n, den, d, 0)
+    den = [(j, c) for j, c in enumerate(spec.denominator) if j and c]
+    power = _power_of_x(n, den, d)
     return int(sum(a * c for a, c in zip(power, _recurrence_ring(spec, d))))
 
 
@@ -292,9 +230,15 @@ def count_with_multiplicity(n: int, k: int, m: int) -> int:
         raise ValueError("need n, k >= 1 and m >= 0")
     if k * m > n:
         return 0
-    if (m + 1) * k * k >= _IE_SCALE * n**_IE_N_POWER:
-        return _count_by_inclusion_exclusion(n, k, m)
-    return extract_coefficient(build_multiplicity_gf(k, m), n)
+    if _counts_by_power(n, k, m):
+        return extract_coefficient(build_multiplicity_gf(k, m), n)
+    return _count_by_inclusion_exclusion(n, k, m)
+
+
+def _counts_by_power(n: int, k: int, m: int) -> bool:
+    """The route rule: whether count_with_multiplicity(n, k, m) raises the
+    power rather than counting by inclusion-exclusion."""
+    return (m + 1) * k * k < _IE_SCALE * n**_IE_N_POWER
 
 
 def prob_multiplicity(n: int, k: int, m: int) -> Fraction:
@@ -363,39 +307,88 @@ def _presence_tail_majorant_scaled(n: int, start: int, exponent: int) -> int:
     return -((-scaled) >> (start - exponent))
 
 
-def _absent_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
-    """Integers lo <= 2^exponent * P(size j absent) <= hi for n > j.
+def _slope(j: int, bits: int, x: int, y: int) -> int:
+    """2^(bits j) (2 - j (y/2^bits)^(j-1) + (j+1) (x/2^bits)^j): -Q'(z) for
+    x = y = 2^bits z, a lower bound for x <= 2^bits z <= y, an upper one for
+    y <= 2^bits z <= x."""
+    return (2 << bits * j) - (j * y ** (j - 1) << bits) + (j + 1) * x**j
 
-    P(size j absent) = count(n, j, 0) / 2^(n-1) = 2 b_n where b_i =
-    c_i / 2^i obeys the m = 0 recurrence scaled by 2^-i.  x^n modulo that
-    recurrence's characteristic polynomial is raised by square-and-multiply
-    in _WINDOW_BITS-bit interval vectors, then contracted against the exact
-    initial window c_0..c_{d-1}; exponent must be at least
-    _WINDOW_BITS + j.
+
+def _dominant_pole(j: int, bits: int) -> tuple[int, int]:
+    """Integers a, b = a + 1 with a < 2^bits rho <= b, rho the zero of
+    Q(z) = 1 - 2z + z^j (1 - z) in [1/2, 4/5], by integer Newton.
+
+    Q(1/2) > 0 > Q(4/5) and -Q' > 1 on [1/2, 4/5], so the exact signs
+    Q(a) > 0 >= Q(b) with 1/2 <= a < b < 4/5 prove the bracket.
     """
-    spec = build_multiplicity_gf(j, 0)
-    d = spec.denominator_degree
-    initial = _recurrence_ring(spec, d)
-    den = [(i, c, i) for i, c in enumerate(spec.denominator) if i and c]
-    bits = _WINDOW_BITS
-    mid, rad = _power_of_x(n, den, d, bits)
-    # 2 b_n = sum_t A_t c_t 2^(1-t), here at scale 2^(bits + d - 1).
-    center = int(sum(c * m << (d - t) for t, (m, c) in enumerate(zip(mid, initial))))
-    spread = int(sum(abs(c) * r << (d - t) for t, (r, c) in enumerate(zip(rad, initial))))
-    shift = exponent - (bits + d - 1)
-    lo = max(0, (center - spread) << shift)
-    hi = min(1 << exponent, (center + spread) << shift)
-    return lo, hi
+    one = 1 << bits
+
+    def q(x: int) -> int:  # 2^(bits (j + 1)) Q(x / 2^bits), exact
+        return ((one - 2 * x) << bits * j) + x**j * (one - x)
+
+    x = (one >> 1) + (one >> (j + 2))
+    for _ in range(bits.bit_length() + 8):  # Newton converges quadratically
+        value, b = q(x), x + 1
+        if value > 0 >= q(b) and one <= 2 * x and 5 * b < 4 * one:
+            return x, b
+        x += value // _slope(j, bits, x, x) or 1  # a 0 step moves one unit up
+    raise ArithmeticError(f"no bracket found for the pole of size {j}")
+
+
+def _fixed_power(y: int, n: int, bits: int, up: bool) -> int:
+    """y^n at scale 2^bits for y >= 0 by square-and-multiply, each step
+    rounded down, or up when up is set."""
+    carry = (1 << bits) - 1 if up else 0
+    power = 1 << bits
+    for bit in bin(n)[2:]:
+        power = (power * power + carry) >> bits
+        if bit == "1":
+            power = (power * y + carry) >> bits
+    return power
+
+
+def _absent_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
+    """Integers lo <= 2^exponent * P(size j absent) <= hi from the dominant
+    pole, at most 4 units apart for n > 512.
+
+    P(absent) = c_n / 2^(n-1), c_n = [z^n] F, F = (1 - z) / Q and
+    Q = 1 - 2z + z^j (1 - z).  Singularity analysis on |z| = 4/5
+    (Flajolet-Sedgewick, Analytic Combinatorics, Thm IV.9):
+    - |1 - 2z|^2 - |z^j (1 - z)|^2 is linear in cos arg z, least at z = 4/5,
+      and there (9 - (4/5)^(2j)) / 25 >= 209/625; so by Rouche Q has one
+      zero rho inside, and on the circle |Q| >= 209/2525 and |F| < 22;
+    - A = (1 - rho) / (-rho Q'(rho)) <= 0.6: rho > 1/2 and -Q'(rho) >= 1.68
+      (2.24, 1.83, 1.76 at j = 1, 2, 3; past that rho <= 0.544); with
+      rho <= 0.62, |A / (1 - z/rho)| < 3 on the circle;
+    - Cauchy's bound on F - A / (1 - z/rho) gives c_n = A rho^-n + e_n with
+      |e_n| <= 32 (5/4)^n, so P(absent) = 2A (2 rho)^-n within
+      64 (5/8)^n <= 2^(6 - [2n/3]).
+    At bits = exponent + bitlen(n) + 16, _dominant_pole brackets rho, A is
+    bounded monomial by monomial at the bracket's ends and _fixed_power
+    rounds (2 rho)^-n down and up.  The pole term, widened by the
+    remainder, is rounded outward to 2^exponent.
+    """
+    bits = exponent + n.bit_length() + 16
+    a, b = _dominant_pole(j, bits)
+    one, shift = 1 << bits, bits * j + 1
+    # 2 A (2 rho)^-n at scale 2^bits, with 1/(2 rho) in [one^2/2b, one^2/2a).
+    power_lo = _fixed_power((one << bits) // (2 * b), n, bits, False)
+    power_hi = _fixed_power(-(-(one << bits) // (2 * a)), n, bits, True)
+    lo = ((one - b) << shift) * power_lo // (b * _slope(j, bits, b, a))
+    hi = -(-((one - a) << shift) * power_hi // (a * _slope(j, bits, a, b)))
+    rem = 1 << max(0, bits + 6 - 2 * n // 3)
+    drop = bits - exponent
+    return max(0, (lo - rem) >> drop), min(1 << exponent, -((-hi - rem) >> drop))
 
 
 def _window_term_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
     """Integers lo <= 2^exponent * P(size j absent) <= hi.
 
-    From n = _WINDOW_CERTIFIED_MIN_N on, while _WINDOW_CERTIFIED_N_PER_J * j
-    <= n, the certified interval; otherwise the exact coefficient rounded
-    outward (exact when exponent = n - 1).
+    Above n = _WINDOW_EXACT_MAX_N a size that count_with_multiplicity would
+    count by the power takes the pole interval; every other term is the
+    exact count rounded outward (exact when exponent = n - 1).
     """
-    if n >= _WINDOW_CERTIFIED_MIN_N and _WINDOW_CERTIFIED_N_PER_J * j <= n:
+    if n > _WINDOW_EXACT_MAX_N and _counts_by_power(n, j, 0):
         return _absent_interval(n, j, exponent)
     scaled = count_with_multiplicity(n, j, 0) << exponent
     return scaled >> (n - 1), -((-scaled) >> (n - 1))
@@ -430,11 +423,12 @@ def window_lower_bound(n: int, low: int, high: int) -> Fraction:
     For ``n <= 512`` both sums are exact.  For larger n only the first 12
     terms of the upper tail are summed; the remainder is replaced by its
     closed-form expected-occurrence majorant, which stays within
-    2^-(high + 12) * O(n) of the true sum.  From n = 2000 on each term of
-    size ``j <= n/90`` is a certified interval (a 160-bit fixed-point power
-    with outward rounding, narrower than 2^-128 up to n = 10^9), and every
-    other term is the exact term rounded outward; each tail takes the
-    unfavourable end of every interval.
+    2^-(high + 12) * O(n) of the true sum.  Each term of a size that
+    count_with_multiplicity would count by the power is then a certified
+    dominant-pole interval (2A (2 rho)^-n plus a proved remainder, at most
+    4 units of 2^-(160 + max(low, high + 12)) wide), and every other term is
+    the exact term rounded outward; each tail takes the unfavourable end of
+    every interval.
     """
     below, above, exponent = _window_tail_numerators(n, low, high)
     return Fraction((1 << exponent) - below - above, 1 << exponent)
