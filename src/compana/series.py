@@ -12,11 +12,13 @@ here is integer/rational arithmetic; floats appear only in callers.
 A count comes from one of two routes, and one rule, _counts_by_power,
 chooses between them:
 
-- the power: ``x^n`` raised modulo the characteristic polynomial of the
-  denominator, of degree d = (k+1)(m+1), then contracted onto the initial
-  window c_0..c_{d-1} (one square per bit of n: d(d+1)/2 products of narrow
-  coefficients, about d^1.6 of wide ones, which are split Karatsuba-style
-  into three half-size squares), cheap for small k;
+- the power: ``x^(n-m)`` raised modulo the kernel's characteristic
+  polynomial L = x^(k+1) - 2x^k + x - 1, of degree e = k + 1 and four
+  terms, then contracted onto m + 1 Hermite weights solved from the initial
+  window c_0..c_{d-1}, d = (k+1)(m+1) (one square per bit of n: e(e+1)/2
+  products of narrow coefficients, about e^1.6 of wide ones, which are
+  split Karatsuba-style into three half-size squares; the weights take
+  about m^2 e^2 small products), cheap for small k;
 - inclusion-exclusion over marked parts equal to k, about (n/k)^2 / 2
   small-by-big integer steps, cheap for large k.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 try:
     from gmpy2 import mpz
@@ -37,17 +40,24 @@ except ImportError:  # gmpy2 is optional: plain int gives the same results, slow
     mpz = int
 
 # Route rule: count_with_multiplicity counts by inclusion-exclusion when
-# (m + 1) k^2 >= _IE_SCALE * n^_IE_N_POWER, else by the power.  Fitted on a
-# grid over n = 16..20 000, k = 1..200, m = 0..5 (Python 3.11 plain ints,
-# 2-CPU x86-64 VM; cells near the switch re-timed with the routes
-# interleaved).  The least grid k from which inclusion-exclusion stays the
-# cheaper, against the rule's switch, for m = 0..5: 14/12, 10/9, 8/7, 6/6,
-# 6/6, 5/5 at n = 512; 24/22, 17/15, 14/13, 12/11, 12/10, 10/9 at 2000;
-# 50/57, 35/40, 29/33, 29/29, 29/26, 24/23 at 20 000.  Of the 2171 cells
-# that take 0.1 ms or more, all but 9 run within 1.3x of the cheaper route;
-# those 9 lie one grid step from the switch (at most 1.9x, at n = 64).
+# (1 + _IE_M_WEIGHT m) k^2 + _IE_M_OFFSET m >= _IE_SCALE n^_IE_N_POWER, else
+# by the power.  The m = 0 switch, k^2 = 0.7 n^0.85, is the one fitted to
+# the m = 0 engine, unchanged (the window bound reads it).  The m terms were
+# fitted to the degree-(k+1) engine on a grid over n = 12..20 000,
+# k = 1..200, m = 1..5 (Python 3.11 plain ints, 2-CPU x86-64 VM; k within
+# 2.5x of the m = 0 switch, every k up to 30 for n <= 400): its cost for
+# m >= 1 is an m = 0 power plus a sweep of about m^2 k^2 small products,
+# which inclusion-exclusion undercuts at small n.  The least grid k from
+# which inclusion-exclusion stays the cheaper, against the rule's switch,
+# for m = 0..5: 14/12, 11/11, 10/10, 9/9, 8/9, 7/8 at n = 512; 25/22,
+# 23/20, 21/19, 20/18, 18/17, 16/16 at 2000; 50/57, 50/53, 50/50, 55/47,
+# 45/45, 45/43 at 20 000 (grid steps of 5 there).  Of the 1498 m >= 1
+# cells that take 0.1 ms or more, all but 18 run within 1.3x of the cheaper
+# route; those lie next to the switch, at most 3x at k = 1, n <= 96.
 _IE_SCALE = 0.7
 _IE_N_POWER = 0.85
+_IE_M_WEIGHT = 0.15
+_IE_M_OFFSET = 8
 
 # Squaring in the power engine: a list of at least _SQUARE_SPLIT_MIN_LEN
 # coefficients whose length times the bit length of its widest coefficient
@@ -76,80 +86,95 @@ _WINDOW_TAIL_TERMS = 12
 
 @dataclass(frozen=True)
 class RationalFunctionSpec:
-    """Integer-coefficient numerator/denominator, ascending degree order.
+    """numerator / kernel^exponent, integer coefficients in ascending degree
+    order; a bare denominator is the kernel with exponent 1.
 
-    The denominator's constant term must be 1 so that the coefficient
-    recurrence c_i = num_i - sum_{j>=1} den_j * c_{i-j} is well posed, and
-    the numerator's degree must be below the denominator's, so that the
-    recurrence is homogeneous past the initial window c_0..c_{d-1}.
+    The kernel's constant term must be 1 so that the coefficient recurrence
+    is well posed, and the numerator's degree must be below the
+    denominator's, d = exponent * deg(kernel), so that the recurrence is
+    homogeneous past the initial window c_0..c_{d-1}.  An exponent above 1
+    needs the multiplicity kernel 1 - 2z + z^k - z^(k+1), whose derivative
+    the engine inverts in closed form (_derivative_inverse).
     """
 
     numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    kernel: tuple[int, ...]
+    exponent: int = 1
 
     def __post_init__(self) -> None:
-        if not self.denominator or self.denominator[0] != 1:
+        if not self.kernel or self.kernel[0] != 1:
             raise ValueError("denominator must have constant term 1")
+        if self.exponent > 1 and self.kernel != _multiplicity_kernel(max(len(self.kernel) - 2, 1)):
+            raise ValueError("an exponent above 1 needs the kernel 1 - 2z + z^k - z^(k+1)")
         if not self.numerator:
             raise ValueError("numerator must be non-empty")
-        if len(self.numerator) >= len(self.denominator):
+        if len(self.numerator) > self.denominator_degree:
             raise ValueError("numerator degree must be below the denominator degree")
 
     @property
     def denominator_degree(self) -> int:
-        return len(self.denominator) - 1
+        return (len(self.kernel) - 1) * self.exponent
+
+    @property
+    def denominator(self) -> tuple[int, ...]:
+        """kernel^exponent, expanded."""
+        den = [1]
+        for _ in range(self.exponent):
+            product = [0] * (len(den) + len(self.kernel) - 1)
+            for i, c in enumerate(den):
+                for j, kj in enumerate(self.kernel):
+                    product[i + j] += c * kj
+            den = product
+        return tuple(den)
+
+
+def _multiplicity_kernel(k: int) -> tuple[int, ...]:
+    """1 - 2z + z^k - z^(k+1); for k = 1 the z terms merge."""
+    kernel = [0] * (k + 2)
+    for e, c in ((0, 1), (1, -2), (k, 1), (k + 1, -1)):
+        kernel[e] += c
+    return tuple(kernel)
 
 
 def build_multiplicity_gf(k: int, m: int) -> RationalFunctionSpec:
     """Generating function whose z^n coefficient counts compositions of n
     where part size k has multiplicity exactly m.
 
-    Numerator z^(k*m) * (1-z)^(m+1), denominator (1 - 2z + z^k(1-z))^(m+1);
-    both expanded exactly, the denominator by m + 1 products with the kernel.
+    Numerator z^(k*m) * (1-z)^(m+1), expanded; the denominator is the
+    kernel 1 - 2z + z^k(1-z) with exponent m + 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    den = [1]
-    for _ in range(m + 1):  # times 1 - 2z + z^k - z^(k+1); for k = 1 the z terms merge
-        product = [0] * (len(den) + k + 1)
-        for i, c in enumerate(den):
-            if c:
-                product[i] += c
-                product[i + 1] -= 2 * c
-                product[i + k] += c
-                product[i + k + 1] -= c
-        den = product
     numerator = [0] * (k * m) + [(-1) ** i * math.comb(m + 1, i) for i in range(m + 2)]
-    return RationalFunctionSpec(tuple(numerator), tuple(den))
+    return RationalFunctionSpec(tuple(numerator), _multiplicity_kernel(k), m + 1)
 
 
-def _recurrence_ring(spec: RationalFunctionSpec, stop: int) -> list:
-    """Ring buffer of the d big integers, d the denominator degree, after
-    running the recurrence up to index stop - 1: slot i % d holds c_i for
-    stop - d <= i < stop (0 below index 0), so for stop = d the ring is the
-    initial window c_0..c_{d-1} in order."""
-    num = spec.numerator
-    den_nz = [(j, c) for j, c in enumerate(spec.denominator) if j and c]
-    width = spec.denominator_degree
-    window = [0] * width
+def _initial_window(spec: RationalFunctionSpec) -> list:
+    """c_0..c_{d-1}, d the denominator degree: the numerator divided by the
+    kernel exponent times, each division one pass of the kernel's
+    recurrence s_i = t_i - sum_{j>=1} kernel_j s_{i-j}."""
+    num, d = spec.numerator, spec.denominator_degree
+    den = [(j, c) for j, c in enumerate(spec.kernel) if j and c]
+    window = list(num) + [0] * (d - len(num))
     # Coefficients below the lowest numerator degree are identically zero.
-    base = next((i for i, c in enumerate(num) if c), stop)
-    for i in range(base, stop):
-        v = num[i] if i < len(num) else 0
-        reach = i - base
-        for j, c in den_nz:
-            if j > reach:
-                break
-            v -= c * window[(i - j) % width]
-        window[i % width] = v
+    base = next((i for i, c in enumerate(num) if c), d)
+    for _ in range(spec.exponent):
+        for i in range(base, d):
+            v = window[i]
+            reach = i - base
+            for j, c in den:
+                if j > reach:
+                    break
+                v -= c * window[i - j]
+            window[i] = v
     return window
 
 
 def _reduce(poly: list, den: list[tuple[int, int]], d: int) -> list:
     """poly reduced modulo x^d + sum_j den_j x^(d-j), den given as (j, den_j)
-    pairs: the characteristic polynomial of the denominator."""
+    pairs: the characteristic polynomial of the kernel."""
     for deg in range(len(poly) - 1, d - 1, -1):
         c = poly[deg]
         if c:
@@ -205,26 +230,140 @@ def _power_of_x(n: int, den: list[tuple[int, int]], d: int) -> list:
     return power
 
 
+def _derivative_inverse(k: int) -> tuple[list, int]:
+    """Integers v_0..v_k and D > 0 with L' v = D modulo
+    L = x^(k+1) - 2x^k + x - 1, v reduced by its common factor with D.
+
+    Closed form: x (x - 2) L' = -q modulo L, q = k x^2 - (3k-1) x + 2k,
+    since x^k (x - 2) = 1 - x there.  Modulo q, k^k L = a x + b, whose
+    inverse is (-k a x + (3k-1) a + k b) / D with D = 2k a^2 + (3k-1) a b
+    + k b^2 (the determinant of a x + b acting on Q[x]/q, times k); so
+    D + B L with B = k^k (k a x - (3k-1) a - k b) is divisible by q, and by
+    the primitive q in Z[x] (Gauss), with quotient W.  Then q W = D and
+    v = -x (x - 2) W modulo L.  D is 0 exactly when L and q share a root.
+    """
+    a, b = 1, 0  # k^(j-1) x^j = a x + b modulo q, j = 1..k
+    for _ in range(k - 1):
+        a, b = (3 * k - 1) * a + k * b, -2 * k * a
+    s = k**k
+    a, b = (k - 1) * a + k * b + s, -2 * k * (a + b) - s
+    det = 2 * k * a * a + (3 * k - 1) * a * b + k * b * b
+    low, high = -s * ((3 * k - 1) * a + k * b), s * k * a
+    top = [0] * (k + 3)  # D + B L, ascending in x
+    for i, c in enumerate(reversed(_multiplicity_kernel(k))):
+        top[i] += low * c
+        top[i + 1] += high * c
+    top[0] += det
+    w = [0] * (k + 1)
+    for deg in range(k + 2, 1, -1):  # divided by q from the top, exactly
+        t = w[deg - 2] = top[deg] // k
+        top[deg - 1] += (3 * k - 1) * t
+        top[deg - 2] -= 2 * k * t
+    v = [0] * (k + 3)
+    for i, c in enumerate(w):  # times 2x - x^2
+        v[i + 1] += 2 * c
+        v[i + 2] -= c
+    v = _reduce(v, [(j, c) for j, c in enumerate(_multiplicity_kernel(k)) if j and c], k + 1)
+    g = math.gcd(det, *v)
+    g = -g if det < 0 else g
+    return [c // g for c in v], det // g
+
+
+def _kernel_shift(seq: list, e: int) -> list:
+    """L(E) seq for L = x^e - 2x^(e-1) + x - 1: seq_(t+e) - 2 seq_(t+e-1)
+    + seq_(t+1) - seq_t, e values shorter."""
+    return [a - 2 * b + c - x for a, b, c, x in zip(seq[e:], seq[e - 1 :], seq[1:], seq)]
+
+
+def _kernel_extend(seq: list, length: int, e: int) -> list:
+    """seq run on to `length` values by L(E) seq = 0, in place."""
+    for t in range(len(seq) - e, length - e):
+        seq.append(2 * seq[t + e - 1] - seq[t + 1] + seq[t])
+    return seq
+
+
+def _hermite_weights(k: int, m: int, window: list) -> tuple[list[list], int]:
+    """Weights H_0..H_m, each e + m long (e = k + 1), and a denominator s with
+    c_n = sum_i n(n-1)...(n-i+1) sum_t [x^t](x^(n-m) mod L) H_i[t+m-i] / s.
+
+    H_i[t] / s = h_i(x^t), the level-i Hermite weight (extract_coefficient).
+    The sweep runs from i = m down to 1 on the residual, the window minus the
+    levels above i: L(E)^i turns it into i! h_i(L'^i x^n) and kills the
+    levels below; the inverse of L' (times D) i times gives h_i times
+    i! D^i; the sequence that level i generates is then subtracted.  All of
+    it is integer, on the running denominator s = prod_i i! D^i.  What is
+    left is level 0: L(E) must kill it on the whole window, and then
+    h_0(x^t) s is its entry t.
+    """
+    e, d = k + 1, (k + 1) * (m + 1)
+    v, det = _derivative_inverse(k)
+    if not det:
+        raise ArithmeticError(f"the kernel's derivative has no inverse for k = {k}, m = {m}")
+    residual, scale, levels = list(window), 1, []
+    for i in range(m, 0, -1):
+        r = residual[: (i + 1) * e]
+        for _ in range(i):
+            r = _kernel_shift(r, e)
+        for _ in range(i):  # the functional f -> r(v f)
+            ext = _kernel_extend(r, 2 * e - 1, e)
+            r = [sum(map(mul, v, ext[t : t + e])) for t in range(e)]
+        step = math.factorial(i) * det**i
+        level = _kernel_extend(r, d - i, e)  # h_i(x^t) * scale * step, t < d - i
+        residual[:i] = [step * c for c in residual[:i]]
+        residual[i:] = [
+            step * c - math.perm(n, i) * y for n, c, y in zip(range(i, d), residual[i:], level)
+        ]
+        scale *= step
+        levels.append((level, scale))
+    if any(_kernel_shift(residual, e)):
+        raise ArithmeticError(f"the Hermite sweep left a nonzero residual for k = {k}, m = {m}")
+    levels.append((residual, scale))
+    return [[c * (scale // s) for c in level[: e + m]] for level, s in reversed(levels)], scale
+
+
 def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
-    """Exact coefficient of z^n in the power series of the rational function:
-    x^n modulo the denominator's characteristic polynomial, contracted onto
-    the initial window c_0..c_{d-1}."""
+    """Exact coefficient c_n of z^n in the power series of the rational
+    function (the power engine).
+
+    With kernel K of degree e, L = x^e K(1/x) and m = exponent - 1, the
+    sequence obeys L(E)^(m+1) c = 0 from index 0 on (E the shift), and
+
+        c_n = sum_{i=0..m} n(n-1)...(n-i+1) <x^(n-i) mod L, h_i>,
+
+    the Hermite form of the m + 1 pole terms at each root of L
+    (Flajolet-Sedgewick, Analytic Combinatorics, Thm IV.9): h_i is a linear
+    functional on Q[x]/L, <p, h_i> = sum_t p_t h_i(x^t).  This needs L
+    squarefree.  For m = 0, h_0(x^t) = c_t: x^n mod L contracted onto the
+    initial window.  Above, _hermite_weights solves the h_i from the window
+    c_0..c_{d-1}, and one power x^(n-m) mod L serves every level, with
+    x^(n-i) = x^(m-i) x^(n-m) moved onto the weights as a shift.
+
+    L = x^(k+1) - 2x^k + x - 1 is squarefree for every k >= 1: x and x - 2
+    are units modulo L (L(0) = -1, L(2) = 1), and x (x - 2) L' = -q with
+    q = k x^2 - (3k-1) x + 2k, so L' is a unit if q is.  A common root of
+    L and q is an algebraic integer (L is monic) whose minimal polynomial
+    divides the primitive q.  Linear, it is an integer root of L, so +-1,
+    but q(1) = 1 and q(-1) = 6k - 1; quadratic, it is q / k in Z[x], so
+    k = 1 and q = x^2 - 2x + 2, which does not divide L = x^2 - x - 1.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    # The sequence obeys the homogeneous recurrence from index
-    # len(numerator) <= d on, so the exact x^n reduced against the
-    # characteristic polynomial contracts c_n onto the initial window.
-    d = spec.denominator_degree
-    den = [(j, c) for j, c in enumerate(spec.denominator) if j and c]
-    power = _power_of_x(n, den, d)
-    return int(sum(a * c for a, c in zip(power, _recurrence_ring(spec, d))))
+    window = _initial_window(spec)
+    if n < spec.denominator_degree:
+        return window[n]
+    m, e = spec.exponent - 1, len(spec.kernel) - 1
+    weights, scale = _hermite_weights(e - 1, m, window) if m else ([window], 1)
+    mixed = [sum(math.perm(n, i) * w[t + m - i] for i, w in enumerate(weights)) for t in range(e)]
+    power = _power_of_x(n - m, [(j, c) for j, c in enumerate(spec.kernel) if j and c], e)
+    return int(sum(map(mul, power, mixed))) // scale
 
 
 def count_with_multiplicity(n: int, k: int, m: int) -> int:
     """Number of compositions of n in which size k has multiplicity m.
 
-    Counted by inclusion-exclusion when (m + 1) k^2 >= 0.7 n^0.85 (large k),
-    else by extract_coefficient; the integer is the same either way.
+    Counted by inclusion-exclusion when (1 + 0.15 m) k^2 + 8 m >= 0.7 n^0.85
+    (large k), else by extract_coefficient; the integer is the same either
+    way.
     """
     if n < 1 or k < 1 or m < 0:
         raise ValueError("need n, k >= 1 and m >= 0")
@@ -238,7 +377,7 @@ def count_with_multiplicity(n: int, k: int, m: int) -> int:
 def _counts_by_power(n: int, k: int, m: int) -> bool:
     """The route rule: whether count_with_multiplicity(n, k, m) raises the
     power rather than counting by inclusion-exclusion."""
-    return (m + 1) * k * k < _IE_SCALE * n**_IE_N_POWER
+    return (1 + _IE_M_WEIGHT * m) * k * k + _IE_M_OFFSET * m < _IE_SCALE * n**_IE_N_POWER
 
 
 def prob_multiplicity(n: int, k: int, m: int) -> Fraction:

@@ -18,10 +18,31 @@ def poly_mul(a, b):
 
 
 def recurrence_coefficient(spec, n):
-    """c_n by running the denominator's recurrence: the reference that the
-    two count routes are checked against."""
-    ring = series._recurrence_ring(spec, n + 1)
-    return ring[n % len(ring)]
+    """c_n by running the expanded denominator's recurrence
+    c_i = num_i - sum_{j>=1} den_j c_{i-j}: the reference that the two
+    count routes are checked against."""
+    num, den = spec.numerator, spec.denominator
+    terms = [(j, c) for j, c in enumerate(den) if j and c]
+    c = []
+    for i in range(n + 1):
+        c.append((num[i] if i < len(num) else 0) - sum(dj * c[i - j] for j, dj in terms if j <= i))
+    return c[n]
+
+
+def kernel_polynomial(k):
+    """L = x^(k+1) - 2x^k + x - 1, ascending in x."""
+    return list(reversed(series._multiplicity_kernel(k)))
+
+
+def reduce_by_kernel(poly, k):
+    """poly modulo L, by hand: x^(k+1) = 2x^k - x + 1."""
+    poly = list(poly)
+    for deg in range(len(poly) - 1, k, -1):
+        c, poly[deg] = poly[deg], 0
+        poly[deg - 1] += 2 * c
+        poly[deg - k] -= c
+        poly[deg - k - 1] += c
+    return poly[: k + 1]
 
 
 def prob_size_present(n, k):
@@ -160,6 +181,72 @@ class TestExtractCoefficient:
         ]
         assert series._poly_square(a) == list(poly_mul(a, a))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 5), st.integers(0, 3000))
+    @example(1, 0, 3000)  # k = 1: the kernel's z terms merge, L = x^2 - x - 1
+    @example(1, 5, 3000)
+    @example(1, 5, 11)  # n = d - 1, the last window entry
+    @example(7, 3, 21)  # n = km, the first nonzero count
+    @example(7, 3, 32)  # n = d, the first power
+    @example(60, 5, 366)
+    @example(14, 3, 8000)
+    @example(9, 5, 7444)
+    def test_kernel_engine_matches_recurrence(self, k, m, n):
+        # One power modulo the degree-(k+1) kernel and m + 1 Hermite
+        # weights, against the recurrence of the expanded K^(m+1).
+        spec = series.build_multiplicity_gf(k, m)
+        assert series.extract_coefficient(spec, n) == recurrence_coefficient(spec, n)
+
+    def test_kernel_is_squarefree(self):
+        # L' v = D != 0 modulo L, so gcd(L, L') divides a nonzero constant.
+        for k in range(1, 301):
+            v, det = series._derivative_inverse(k)
+            assert det > 0
+            product = [0] * (2 * k + 1)
+            for i, c in enumerate(kernel_polynomial(k)[1:]):  # L' = sum (i+1) c x^i
+                if c:
+                    for j, x in enumerate(v):
+                        product[i + j] += (i + 1) * c * x
+            assert reduce_by_kernel(product, k) == [det] + [0] * k, k
+
+    def test_corrupted_inverse_raises(self, monkeypatch):
+        inverse = series._derivative_inverse
+
+        def corrupted(k):
+            v, det = inverse(k)
+            return [v[0] + 1, *v[1:]], det
+
+        monkeypatch.setattr(series, "_derivative_inverse", corrupted)
+        for count in (
+            lambda: series.extract_coefficient(series.build_multiplicity_gf(14, 3), 8000),
+            lambda: series.count_with_multiplicity(8000, 14, 3),
+        ):
+            with pytest.raises(ArithmeticError, match="k = 14, m = 3"):
+                count()
+        monkeypatch.setattr(series, "_derivative_inverse", lambda k: (inverse(k)[0], 0))
+        with pytest.raises(ArithmeticError, match="k = 2, m = 1"):
+            series.extract_coefficient(series.build_multiplicity_gf(2, 1), 10)
+
+    def test_exponent_one_needs_no_inverse(self, monkeypatch):
+        def refuse(k):
+            raise AssertionError("m = 0 inverted the derivative")
+
+        monkeypatch.setattr(series, "_derivative_inverse", refuse)
+        assert series.extract_coefficient(series.build_multiplicity_gf(5, 0), 500) == (
+            recurrence_coefficient(series.build_multiplicity_gf(5, 0), 500)
+        )
+
+    def test_exponent_above_one_needs_the_multiplicity_kernel(self):
+        with pytest.raises(ValueError):
+            series.RationalFunctionSpec((1,), (1, -1, -2), 2)
+        with pytest.raises(ValueError):
+            series.RationalFunctionSpec((1,), (1, -1), 2)
+        with pytest.raises(ValueError):
+            series.RationalFunctionSpec((1,), (1, -1), 0)
+        spec = series.RationalFunctionSpec((0, 1), (1, -1, -1), 2)  # z / (1 - z - z^2)^2
+        assert spec == series.RationalFunctionSpec((0, 1), series._multiplicity_kernel(1), 2)
+        assert [series.extract_coefficient(spec, n) for n in range(8)] == [0, 1, 2, 5, 10, 20, 38, 71]
+
     @pytest.mark.parametrize(
         "n,k,m,route",
         [
@@ -170,14 +257,20 @@ class TestExtractCoefficient:
             (3, 2, 0, "_count_by_inclusion_exclusion"),
             (16, 1, 0, "_extract_by_powmod"),
             (50, 1, 1, "_extract_by_powmod"),
-            (7439, 29, 1, "_count_by_inclusion_exclusion"),
+            (7439, 29, 1, "_extract_by_powmod"),
             (120, 6, 0, "_extract_by_powmod"),
-            # Either side of the switch (m + 1) k^2 = 0.7 n^0.85: 248 at
-            # n = 1000, 448 at n = 2000.
+            # Either side of the switch (1 + 0.15 m) k^2 + 8 m = 0.7 n^0.85:
+            # 16.1 at n = 40, 248 at n = 1000, 448 at n = 2000.
             (1000, 15, 0, "_extract_by_powmod"),
             (1000, 16, 0, "_count_by_inclusion_exclusion"),
             (2000, 12, 2, "_extract_by_powmod"),
-            (2000, 13, 2, "_count_by_inclusion_exclusion"),
+            (2000, 13, 2, "_extract_by_powmod"),
+            (2000, 18, 2, "_extract_by_powmod"),
+            (2000, 19, 2, "_count_by_inclusion_exclusion"),
+            (1000, 10, 5, "_extract_by_powmod"),
+            (1000, 11, 5, "_count_by_inclusion_exclusion"),
+            (40, 2, 1, "_extract_by_powmod"),
+            (40, 3, 1, "_count_by_inclusion_exclusion"),
         ],
     )
     def test_route(self, monkeypatch, n, k, m, route):
