@@ -118,12 +118,14 @@ class RationalFunctionSpec:
     @property
     def denominator(self) -> tuple[int, ...]:
         """kernel^exponent, expanded."""
+        terms = [(j, c) for j, c in enumerate(self.kernel) if c]
         den = [1]
         for _ in range(self.exponent):
             product = [0] * (len(den) + len(self.kernel) - 1)
             for i, c in enumerate(den):
-                for j, kj in enumerate(self.kernel):
-                    product[i + j] += c * kj
+                if c:
+                    for j, kj in terms:
+                        product[i + j] += c * kj
             den = product
         return tuple(den)
 

@@ -21,11 +21,17 @@ def recurrence_coefficient(spec, n):
     """c_n by running the expanded denominator's recurrence
     c_i = num_i - sum_{j>=1} den_j c_{i-j}: the reference that the two
     count routes are checked against."""
-    num, den = spec.numerator, spec.denominator
-    terms = [(j, c) for j, c in enumerate(den) if j and c]
-    c = []
-    for i in range(n + 1):
-        c.append((num[i] if i < len(num) else 0) - sum(dj * c[i - j] for j, dj in terms if j <= i))
+    num = spec.numerator
+    terms = [(j, c) for j, c in enumerate(spec.denominator) if j and c]
+    c = [0] * (n + 1)
+    base = next((i for i, x in enumerate(num) if x), n + 1)  # c_i = 0 below it
+    for i in range(base, n + 1):
+        v = num[i] if i < len(num) else 0
+        for j, dj in terms:
+            if j > i - base:
+                break
+            v -= dj * c[i - j]
+        c[i] = v
     return c[n]
 
 
@@ -149,18 +155,27 @@ class TestExtractCoefficient:
 
     @pytest.mark.parametrize(
         "n,k,m",
-        # (8000, 14, 3): d = 60, whose widest squares split five levels deep
-        # (60 terms down to 2), the lists of 15, 5 and 3 terms with an odd tail.
-        [(500, 3, 0), (1000, 7, 0), (2357, 20, 0), (800, 4, 2), (1500, 2, 1), (64, 1, 0), (8000, 14, 3)],
+        # (2357, 20, 0): 21 terms, whose widest squares split three levels
+        # deep with odd tails; (8000, 14, 3) and (7444, 9, 5): four and six
+        # Hermite levels.
+        [(500, 3, 0), (1000, 7, 0), (2357, 20, 0), (800, 4, 2), (1500, 2, 1), (64, 1, 0), (8000, 14, 3), (7444, 9, 5)],
     )
     def test_powmod_matches_recurrence(self, n, k, m):
         spec = series.build_multiplicity_gf(k, m)
         assert recurrence_coefficient(spec, n) == series.extract_coefficient(spec, n)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 60), st.integers(0, 3), st.integers(0, 3000))
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 5), st.integers(0, 3000))
+    @example(1, 0, 3000)  # k = 1: the kernel's z terms merge, L = x^2 - x - 1
+    @example(1, 5, 3000)
+    @example(1, 5, 11)  # n = d - 1, the last window entry
+    @example(7, 3, 21)  # n = km, the first nonzero count
+    @example(7, 3, 32)  # n = d, the first power
+    @example(60, 5, 366)
     def test_powmod_matches_recurrence_random(self, k, m, n):
-        # Up to d = 244, n = 0 and n below d included.
+        # One power modulo the degree-(k+1) kernel and m + 1 Hermite
+        # weights, against the recurrence of the expanded K^(m+1): up to
+        # d = 366, n = 0 and n below d included.
         spec = series.build_multiplicity_gf(k, m)
         exact = recurrence_coefficient(spec, n)
         assert series.extract_coefficient(spec, n) == exact
@@ -180,22 +195,6 @@ class TestExtractCoefficient:
             for _ in range(size)
         ]
         assert series._poly_square(a) == list(poly_mul(a, a))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 60), st.integers(0, 5), st.integers(0, 3000))
-    @example(1, 0, 3000)  # k = 1: the kernel's z terms merge, L = x^2 - x - 1
-    @example(1, 5, 3000)
-    @example(1, 5, 11)  # n = d - 1, the last window entry
-    @example(7, 3, 21)  # n = km, the first nonzero count
-    @example(7, 3, 32)  # n = d, the first power
-    @example(60, 5, 366)
-    @example(14, 3, 8000)
-    @example(9, 5, 7444)
-    def test_kernel_engine_matches_recurrence(self, k, m, n):
-        # One power modulo the degree-(k+1) kernel and m + 1 Hermite
-        # weights, against the recurrence of the expanded K^(m+1).
-        spec = series.build_multiplicity_gf(k, m)
-        assert series.extract_coefficient(spec, n) == recurrence_coefficient(spec, n)
 
     def test_kernel_is_squarefree(self):
         # L' v = D != 0 modulo L, so gcd(L, L') divides a nonzero constant.
