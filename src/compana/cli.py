@@ -353,11 +353,14 @@ def cmd_mellin(args: argparse.Namespace) -> int:
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
-    """Refuse an --out or --hist-out whose directory is missing or not
-    writable, before the command computes anything; creates no file."""
+    """Refuse an --out or --hist-out that names a directory or whose
+    directory is missing or not writable, before the command computes
+    anything; creates no file."""
     for path in (args.out, vars(args).get("hist_out")):
         if not path:
             continue
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
         directory = os.path.dirname(path) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise OSError(f"cannot write {path}: {directory} is not a writable directory")

@@ -14,8 +14,9 @@ chooses between them:
 
 - the power: ``x^(n-m)`` raised modulo the kernel's characteristic
   polynomial L = x^(k+1) - 2x^k + x - 1, of degree e = k + 1 and four
-  terms, then contracted onto m + 1 Hermite weights solved from the initial
-  window c_0..c_{d-1}, d = (k+1)(m+1) (one square per bit of n: e(e+1)/2
+  terms, then contracted onto m + 1 Hermite weights solved from the
+  counts c_0..c_{d-1}, d = (k+1)(m+1), that inclusion-exclusion gives in
+  one to three terms each (one square per bit of n: e(e+1)/2
   products of narrow coefficients, about e^1.6 of wide ones, which are
   split Karatsuba-style into three half-size squares; the weights take
   about m^2 e^2 small products), cheap for small k;
@@ -30,7 +31,6 @@ dominant-pole interval instead (_absent_interval).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -84,94 +84,10 @@ _WINDOW_BITS = 160
 _WINDOW_TAIL_TERMS = 12
 
 
-@dataclass(frozen=True)
-class RationalFunctionSpec:
-    """numerator / kernel^exponent, integer coefficients in ascending degree
-    order; a bare denominator is the kernel with exponent 1.
-
-    The kernel's constant term must be 1 so that the coefficient recurrence
-    is well posed, and the numerator's degree must be below the
-    denominator's, d = exponent * deg(kernel), so that the recurrence is
-    homogeneous past the initial window c_0..c_{d-1}.  An exponent above 1
-    needs the multiplicity kernel 1 - 2z + z^k - z^(k+1), whose derivative
-    the engine inverts in closed form (_derivative_inverse).
-    """
-
-    numerator: tuple[int, ...]
-    kernel: tuple[int, ...]
-    exponent: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.kernel or self.kernel[0] != 1:
-            raise ValueError("denominator must have constant term 1")
-        if self.exponent > 1 and self.kernel != _multiplicity_kernel(max(len(self.kernel) - 2, 1)):
-            raise ValueError("an exponent above 1 needs the kernel 1 - 2z + z^k - z^(k+1)")
-        if not self.numerator:
-            raise ValueError("numerator must be non-empty")
-        if len(self.numerator) > self.denominator_degree:
-            raise ValueError("numerator degree must be below the denominator degree")
-
-    @property
-    def denominator_degree(self) -> int:
-        return (len(self.kernel) - 1) * self.exponent
-
-    @property
-    def denominator(self) -> tuple[int, ...]:
-        """kernel^exponent, expanded."""
-        terms = [(j, c) for j, c in enumerate(self.kernel) if c]
-        den = [1]
-        for _ in range(self.exponent):
-            product = [0] * (len(den) + len(self.kernel) - 1)
-            for i, c in enumerate(den):
-                if c:
-                    for j, kj in terms:
-                        product[i + j] += c * kj
-            den = product
-        return tuple(den)
-
-
-def _multiplicity_kernel(k: int) -> tuple[int, ...]:
-    """1 - 2z + z^k - z^(k+1); for k = 1 the z terms merge."""
-    kernel = [0] * (k + 2)
-    for e, c in ((0, 1), (1, -2), (k, 1), (k + 1, -1)):
-        kernel[e] += c
-    return tuple(kernel)
-
-
-def build_multiplicity_gf(k: int, m: int) -> RationalFunctionSpec:
-    """Generating function whose z^n coefficient counts compositions of n
-    where part size k has multiplicity exactly m.
-
-    Numerator z^(k*m) * (1-z)^(m+1), expanded; the denominator is the
-    kernel 1 - 2z + z^k(1-z) with exponent m + 1.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    numerator = [0] * (k * m) + [(-1) ** i * math.comb(m + 1, i) for i in range(m + 2)]
-    return RationalFunctionSpec(tuple(numerator), _multiplicity_kernel(k), m + 1)
-
-
-def _initial_window(spec: RationalFunctionSpec) -> list:
-    """c_0..c_{d-1}, d the denominator degree: the numerator divided by the
-    kernel exponent times, each division one pass of the kernel's
-    recurrence s_i = t_i - sum_{j>=1} kernel_j s_{i-j}."""
-    num, d = spec.numerator, spec.denominator_degree
-    den = [(j, c) for j, c in enumerate(spec.kernel) if j and c]
-    window = list(num) + [0] * (d - len(num))
-    # Coefficients below the lowest numerator degree are identically zero.
-    base = next((i for i, c in enumerate(num) if c), d)
-    for _ in range(spec.exponent):
-        for i in range(base, d):
-            v = window[i]
-            reach = i - base
-            for j, c in den:
-                if j > reach:
-                    break
-                v -= c * window[i - j]
-            window[i] = v
-    return window
+def _kernel_terms(k: int) -> list[tuple[int, int]]:
+    """The kernel 1 - 2z + z^k - z^(k+1) as its nonzero (j, K_j) pairs past
+    the constant term 1; for k = 1 the z terms merge."""
+    return [(1, -1), (2, -1)] if k == 1 else [(1, -2), (k, 1), (k + 1, -1)]
 
 
 def _reduce(poly: list, den: list[tuple[int, int]], d: int) -> list:
@@ -252,9 +168,9 @@ def _derivative_inverse(k: int) -> tuple[list, int]:
     det = 2 * k * a * a + (3 * k - 1) * a * b + k * b * b
     low, high = -s * ((3 * k - 1) * a + k * b), s * k * a
     top = [0] * (k + 3)  # D + B L, ascending in x
-    for i, c in enumerate(reversed(_multiplicity_kernel(k))):
-        top[i] += low * c
-        top[i + 1] += high * c
+    for j, c in [(0, 1), *_kernel_terms(k)]:  # L = sum_j K_j x^(k+1-j)
+        top[k + 1 - j] += low * c
+        top[k + 2 - j] += high * c
     top[0] += det
     w = [0] * (k + 1)
     for deg in range(k + 2, 1, -1):  # divided by q from the top, exactly
@@ -265,7 +181,7 @@ def _derivative_inverse(k: int) -> tuple[list, int]:
     for i, c in enumerate(w):  # times 2x - x^2
         v[i + 1] += 2 * c
         v[i + 2] -= c
-    v = _reduce(v, [(j, c) for j, c in enumerate(_multiplicity_kernel(k)) if j and c], k + 1)
+    v = _reduce(v, _kernel_terms(k), k + 1)
     g = math.gcd(det, *v)
     g = -g if det < 0 else g
     return [c // g for c in v], det // g
@@ -323,22 +239,26 @@ def _hermite_weights(k: int, m: int, window: list) -> tuple[list[list], int]:
     return [[c * (scale // s) for c in level[: e + m]] for level, s in reversed(levels)], scale
 
 
-def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
-    """Exact coefficient c_n of z^n in the power series of the rational
-    function (the power engine).
+def extract_coefficient(n: int, k: int, m: int) -> int:
+    """count_with_multiplicity(n, k, m) by the power engine: c_n, the
+    coefficient of z^n in z^(km) (1 - z)^(m+1) / K^(m+1) with the kernel
+    K = 1 - 2z + z^k (1 - z), here defined at n = 0 as well.
 
-    With kernel K of degree e, L = x^e K(1/x) and m = exponent - 1, the
-    sequence obeys L(E)^(m+1) c = 0 from index 0 on (E the shift), and
+    With L = x^(k+1) K(1/x) and d = (k+1)(m+1), above the numerator's degree
+    km + m + 1, the counts obey L(E)^(m+1) c = 0 from index 0 on (E the
+    shift), and
 
         c_n = sum_{i=0..m} n(n-1)...(n-i+1) <x^(n-i) mod L, h_i>,
 
     the Hermite form of the m + 1 pole terms at each root of L
     (Flajolet-Sedgewick, Analytic Combinatorics, Thm IV.9): h_i is a linear
     functional on Q[x]/L, <p, h_i> = sum_t p_t h_i(x^t).  This needs L
-    squarefree.  For m = 0, h_0(x^t) = c_t: x^n mod L contracted onto the
-    initial window.  Above, _hermite_weights solves the h_i from the window
-    c_0..c_{d-1}, and one power x^(n-m) mod L serves every level, with
-    x^(n-i) = x^(m-i) x^(n-m) moved onto the weights as a shift.
+    squarefree.  The initial window c_0..c_{d-1} is counted by
+    inclusion-exclusion (one to three terms each; n < d returns that count).
+    For m = 0, h_0(x^t) = c_t: x^n mod L contracted onto the window.  Above,
+    _hermite_weights solves the h_i from the window, and one power
+    x^(n-m) mod L serves every level, with x^(n-i) = x^(m-i) x^(n-m) moved
+    onto the weights as a shift.
 
     L = x^(k+1) - 2x^k + x - 1 is squarefree for every k >= 1: x and x - 2
     are units modulo L (L(0) = -1, L(2) = 1), and x (x - 2) L' = -q with
@@ -348,15 +268,15 @@ def extract_coefficient(spec: RationalFunctionSpec, n: int) -> int:
     but q(1) = 1 and q(-1) = 6k - 1; quadratic, it is q / k in Z[x], so
     k = 1 and q = x^2 - 2x + 2, which does not divide L = x^2 - x - 1.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    window = _initial_window(spec)
-    if n < spec.denominator_degree:
-        return window[n]
-    m, e = spec.exponent - 1, len(spec.kernel) - 1
-    weights, scale = _hermite_weights(e - 1, m, window) if m else ([window], 1)
+    if n < 0 or k < 1 or m < 0:
+        raise ValueError("need n >= 0, k >= 1 and m >= 0")
+    e, d = k + 1, (k + 1) * (m + 1)
+    if n < d:
+        return _count_by_inclusion_exclusion(n, k, m)
+    window = [_count_by_inclusion_exclusion(t, k, m) for t in range(d)]
+    weights, scale = _hermite_weights(k, m, window) if m else ([window], 1)
     mixed = [sum(math.perm(n, i) * w[t + m - i] for i, w in enumerate(weights)) for t in range(e)]
-    power = _power_of_x(n - m, [(j, c) for j, c in enumerate(spec.kernel) if j and c], e)
+    power = _power_of_x(n - m, _kernel_terms(k), e)
     return int(sum(map(mul, power, mixed))) // scale
 
 
@@ -372,7 +292,7 @@ def count_with_multiplicity(n: int, k: int, m: int) -> int:
     if k * m > n:
         return 0
     if _counts_by_power(n, k, m):
-        return extract_coefficient(build_multiplicity_gf(k, m), n)
+        return extract_coefficient(n, k, m)
     return _count_by_inclusion_exclusion(n, k, m)
 
 

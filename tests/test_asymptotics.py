@@ -191,6 +191,16 @@ class TestFluctuation:
         assert peak1 < peak2
         assert peak2 == pytest.approx(amp2, rel=1e-3)
 
+    @pytest.mark.parametrize("m", [40, 60, 100])
+    def test_large_m_matches_many_harmonics(self, m):
+        # Five harmonics were off here (the residue sum by 3e-13, 4e-10 and
+        # 1e-4 relative); 5 + m // 10 give the double that 100 give.
+        for n in (37, 1e6, 123456789, 3e11, 1e100, 1e300):
+            x = math.log2(n) % 1.0
+            many = asym._harmonics(x, m, asym.MAX_HARMONICS, residue=False)
+            assert asym.fluctuation(x, m) == many
+            assert asym.predict_event_probability(n, m) == (1.0 / m + many) / math.log(n)
+
     # Near a peak of the first harmonic at m = 4 the second harmonic adds
     # 1.2e-6 of the first amplitude, so a flat 1e-6 margin is false there.
     @settings(max_examples=60, deadline=None)
@@ -276,15 +286,21 @@ class TestPrediction:
         "p_max,m_max", [(0, 170), (5, 141), (100, 104)],
     )
     def test_gamma_overflow_names_m_and_p_max(self, p_max, m_max):
-        routes = [lambda m: asym.harmonic_sum_residues(1e6, m, p_max)]
-        if p_max == asym.DEFAULT_HARMONICS:
-            routes += [
-                lambda m: asym.fluctuation(0.3, m),
-                lambda m: asym.predict_event_probability(1e6, m),
-            ]
-        for route in routes:
-            assert math.isfinite(route(m_max))
-            for m in (m_max + 1, m_max + 10, 10**9):
-                message = f"m={m} with p_max={p_max} is out of range: the limit law's Gamma factor"
+        assert math.isfinite(asym.harmonic_sum_residues(1e6, m_max, p_max))
+        for m in (m_max + 1, m_max + 10, 10**9):
+            message = f"m={m} with p_max={p_max} is out of range: the limit law's Gamma factor"
+            with pytest.raises(OverflowError, match=message):
+                asym.harmonic_sum_residues(1e6, m, p_max)
+
+    def test_limit_law_overflow_names_its_harmonic_count(self):
+        # The limit law sums 5 + m // 10 harmonics, 18 at m = 130..139, whose
+        # Lanczos Gamma overflows from m = 133 (five harmonics from 142).
+        for route in (
+            lambda m: asym.fluctuation(0.3, m),
+            lambda m: asym.predict_event_probability(1e6, m),
+        ):
+            assert math.isfinite(route(132))
+            for m in (133, 142, 10**9):
+                message = f"m={m} with p_max={5 + m // 10} is out of range: the limit law's Gamma"
                 with pytest.raises(OverflowError, match=message):
                     route(m)

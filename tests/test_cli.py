@@ -262,7 +262,7 @@ class TestSampleCommand:
         code, out, err = run_cli(capsys, command, "--n", "1e6", "--m", "142")
         assert (code, out) == (2, "")
         assert err == (
-            "error: m=142 with p_max=5 is out of range: "
+            "error: m=142 with p_max=19 is out of range: "
             "the limit law's Gamma factor overflows a double\n"
         )
 
@@ -437,23 +437,25 @@ class TestOutputPlumbing:
             ("distinct", "--n", "1e6", "--trials", "2e5", "--hist-out", "{bad}/x.csv"),
         ],
     )
-    @pytest.mark.parametrize("bad", ["missing", "file"])
+    @pytest.mark.parametrize("bad", ["missing", "file", "dir"])
     def test_unwritable_output_fails_before_sampling(
         self, capsys, tmp_path, monkeypatch, argv, bad
     ):
+        # "dir": the output path itself is an existing directory.
         def must_not_sample(*args, **kwargs):
             raise AssertionError("sampled before the output path was checked")
 
         monkeypatch.setattr(cli.compositions, "mc_event_probability", must_not_sample)
         monkeypatch.setattr(cli.compositions, "distinct_size_histogram", must_not_sample)
         (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "x.csv").mkdir(parents=True)
         bad_dir = tmp_path / bad
         code, out, err = run_cli(capsys, *(a.format(bad=bad_dir) for a in argv))
         assert (code, out) == (2, "")
-        assert err == (
-            f"error: cannot write {bad_dir / 'x.csv'}: {bad_dir} is not a writable directory\n"
-        )
-        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        reason = "it is a directory" if bad == "dir" else f"{bad_dir} is not a writable directory"
+        assert err == f"error: cannot write {bad_dir / 'x.csv'}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert not any((tmp_path / "dir" / "x.csv").iterdir())
 
     def test_out_file_in_the_working_directory(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,19 +13,36 @@ from conftest import multiplicity_census
 def poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return tuple(out)
 
 
-def recurrence_coefficient(spec, n):
-    """c_n by running the expanded denominator's recurrence
+@lru_cache(maxsize=None)
+def multiplicity_gf(k, m):
+    """(numerator, denominator) of the multiplicity generating function,
+    ascending in z: z^(km) (1 - z)^(m+1) and K^(m+1) with the kernel
+    K = 1 - 2z + z^k - z^(k+1), by full polynomial products; for k = 1 the
+    kernel's two z terms add up."""
+    kernel = [0] * (k + 2)
+    for e, c in ((0, 1), (1, -2), (k, 1), (k + 1, -1)):
+        kernel[e] += c
+    numerator, denominator = (0,) * (k * m) + (1,), (1,)
+    for _ in range(m + 1):
+        numerator = poly_mul(numerator, (1, -1))
+        denominator = poly_mul(kernel, denominator)
+    return numerator, denominator
+
+
+def recurrence_coefficients(k, m, n):
+    """c_0..c_n by running the expanded denominator's recurrence
     c_i = num_i - sum_{j>=1} den_j c_{i-j}: the reference that the two
     count routes are checked against."""
-    num = spec.numerator
-    terms = [(j, c) for j, c in enumerate(spec.denominator) if j and c]
+    num, den = multiplicity_gf(k, m)
+    terms = [(j, c) for j, c in enumerate(den) if j and c]
     c = [0] * (n + 1)
-    base = next((i for i, x in enumerate(num) if x), n + 1)  # c_i = 0 below it
+    base = k * m  # c_i = 0 below the numerator's lowest term
     for i in range(base, n + 1):
         v = num[i] if i < len(num) else 0
         for j, dj in terms:
@@ -32,12 +50,16 @@ def recurrence_coefficient(spec, n):
                 break
             v -= dj * c[i - j]
         c[i] = v
-    return c[n]
+    return c
+
+
+def recurrence_coefficient(k, m, n):
+    return recurrence_coefficients(k, m, n)[n]
 
 
 def kernel_polynomial(k):
     """L = x^(k+1) - 2x^k + x - 1, ascending in x."""
-    return list(reversed(series._multiplicity_kernel(k)))
+    return list(reversed(multiplicity_gf(k, 0)[1]))
 
 
 def reduce_by_kernel(poly, k):
@@ -67,78 +89,67 @@ def window_tail_bounds(n, low, high):
 
 
 class TestBuildGeneratingFunction:
+    # The reference multiplicity_gf, which the two count routes are checked
+    # against through recurrence_coefficient.
     def test_k1_m0(self):
-        spec = series.build_multiplicity_gf(1, 0)
-        assert spec.numerator == (1, -1)
-        assert spec.denominator == (1, -1, -1)
+        assert multiplicity_gf(1, 0) == ((1, -1), (1, -1, -1))
 
     def test_k2_m0_denominator(self):
-        spec = series.build_multiplicity_gf(2, 0)
-        assert spec.denominator == (1, -2, 1, -1)
+        assert multiplicity_gf(2, 0)[1] == (1, -2, 1, -1)
 
     def test_k1_m1_is_square_of_base_case(self):
-        spec = series.build_multiplicity_gf(1, 1)
-        assert spec.numerator == poly_mul((0, 1), poly_mul((1, -1), (1, -1)))
-        assert spec.denominator == poly_mul((1, -1, -1), (1, -1, -1))
+        numerator, denominator = multiplicity_gf(1, 1)
+        assert numerator == (0, 1, -2, 1)
+        assert denominator == (1, -2, -1, 2, 1)
 
     @pytest.mark.parametrize("k,m", [(1, 0), (1, 2), (3, 1), (5, 2), (7, 0), (2, 4)])
     def test_degrees(self, k, m):
-        spec = series.build_multiplicity_gf(k, m)
-        assert len(spec.numerator) - 1 == k * m + m + 1
-        assert spec.denominator_degree == (k + 1) * (m + 1)
-        assert spec.denominator[0] == 1
+        numerator, denominator = multiplicity_gf(k, m)
+        assert len(numerator) - 1 == k * m + m + 1
+        assert len(denominator) - 1 == (k + 1) * (m + 1)
+        assert denominator[0] == 1
 
     @pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 3)])
     def test_denominator_is_kernel_power(self, k, m):
-        spec = series.build_multiplicity_gf(k, m)
-        kernel = [0] * (k + 2)  # 1 - 2z + z^k - z^(k+1)
-        for e, c in ((0, 1), (1, -2), (k, 1), (k + 1, -1)):
-            kernel[e] += c
-        expected = (1,)
-        for _ in range(m + 1):
-            expected = poly_mul(expected, kernel)
-        assert spec.denominator == expected
+        denominator = multiplicity_gf(k, m)[1]
+        for z in (-3, -1, 2, 5):
+            kernel = 1 - 2 * z + z**k - z ** (k + 1)
+            assert sum(c * z**j for j, c in enumerate(denominator)) == kernel ** (m + 1)
 
     def test_matches_kernel_powers_by_poly_mul(self):
-        # Full polynomial products of the kernel and of 1 - z, with z^(k*m)
-        # as leading zeros; for k = 1 the kernel's two z terms add up.
+        # The kernel whose powers the reference multiplies is the one the
+        # engine reduces by, and the numerator is the binomial expansion.
         for k in range(1, 61):
-            kernel = [0] * (k + 2)
-            for e, c in ((0, 1), (1, -2), (k, 1), (k + 1, -1)):
-                kernel[e] += c
-            denominator = one_minus_z_power = (1,)
+            kernel = multiplicity_gf(k, 0)[1]
+            assert [(j, c) for j, c in enumerate(kernel) if j and c] == series._kernel_terms(k), k
             for m in range(6):
-                denominator = poly_mul(denominator, kernel)
-                one_minus_z_power = poly_mul(one_minus_z_power, (1, -1))
-                spec = series.build_multiplicity_gf(k, m)
-                assert spec.numerator == (0,) * (k * m) + one_minus_z_power, (k, m)
-                assert spec.denominator == denominator, (k, m)
+                numerator = tuple((-1) ** i * math.comb(m + 1, i) for i in range(m + 2))
+                assert multiplicity_gf(k, m)[0] == (0,) * (k * m) + numerator, (k, m)
 
-    def test_constant_term_validation(self):
-        with pytest.raises(ValueError):
-            series.RationalFunctionSpec((1,), (2, 1))
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_reference_matches_brute_force(self, n):
+        census = multiplicity_census(n)  # a walk of brute_force_compositions(n)
+        for k in range(1, n + 1):
+            for m in range(n + 1):
+                assert recurrence_coefficient(k, m, n) == census.get((k, m), 0), (k, m)
 
 
 class TestExtractCoefficient:
     def test_avoiding_ones_n5(self):
-        spec = series.build_multiplicity_gf(1, 0)
-        assert series.extract_coefficient(spec, 5) == 3
+        assert series.extract_coefficient(5, 1, 0) == 3
 
     def test_three_ones_n5(self):
-        spec = series.build_multiplicity_gf(1, 3)
-        assert series.extract_coefficient(spec, 5) == 4
+        assert series.extract_coefficient(5, 1, 3) == 4
 
     def test_single_five_n5(self):
-        spec = series.build_multiplicity_gf(5, 1)
-        assert series.extract_coefficient(spec, 5) == 1
+        assert series.extract_coefficient(5, 5, 1) == 1
 
     def test_fibonacci_cross_check(self):
-        spec = series.build_multiplicity_gf(1, 0)
         fib = [0, 1, 1]  # fib[i] with F_1 = F_2 = 1
         for _ in range(60):
             fib.append(fib[-1] + fib[-2])
         for n in range(2, 61):
-            assert series.extract_coefficient(spec, n) == fib[n - 1]
+            assert series.extract_coefficient(n, 1, 0) == fib[n - 1]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_oracle_equivalence_small(self, n):
@@ -161,8 +172,7 @@ class TestExtractCoefficient:
         [(500, 3, 0), (1000, 7, 0), (2357, 20, 0), (800, 4, 2), (1500, 2, 1), (64, 1, 0), (8000, 14, 3), (7444, 9, 5)],
     )
     def test_powmod_matches_recurrence(self, n, k, m):
-        spec = series.build_multiplicity_gf(k, m)
-        assert recurrence_coefficient(spec, n) == series.extract_coefficient(spec, n)
+        assert recurrence_coefficient(k, m, n) == series.extract_coefficient(n, k, m)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 60), st.integers(0, 5), st.integers(0, 3000))
@@ -176,9 +186,18 @@ class TestExtractCoefficient:
         # One power modulo the degree-(k+1) kernel and m + 1 Hermite
         # weights, against the recurrence of the expanded K^(m+1): up to
         # d = 366, n = 0 and n below d included.
-        spec = series.build_multiplicity_gf(k, m)
-        exact = recurrence_coefficient(spec, n)
-        assert series.extract_coefficient(spec, n) == exact
+        assert series.extract_coefficient(n, k, m) == recurrence_coefficient(k, m, n)
+
+    def test_window_is_seeded_from_the_counts(self):
+        # Below d every count is the inclusion-exclusion count that seeds the
+        # Hermite weights (k <= 60, m <= 7: d up to 488); for k <= 8 the power
+        # then runs on that window at n = d and d + 1.
+        for k in range(1, 61):
+            for m in range(8):
+                d = (k + 1) * (m + 1)
+                top = d + 2 if k <= 8 else d
+                counts = [series.extract_coefficient(t, k, m) for t in range(top)]
+                assert counts == recurrence_coefficients(k, m, top - 1), (k, m)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -217,34 +236,21 @@ class TestExtractCoefficient:
 
         monkeypatch.setattr(series, "_derivative_inverse", corrupted)
         for count in (
-            lambda: series.extract_coefficient(series.build_multiplicity_gf(14, 3), 8000),
+            lambda: series.extract_coefficient(8000, 14, 3),
             lambda: series.count_with_multiplicity(8000, 14, 3),
         ):
             with pytest.raises(ArithmeticError, match="k = 14, m = 3"):
                 count()
         monkeypatch.setattr(series, "_derivative_inverse", lambda k: (inverse(k)[0], 0))
         with pytest.raises(ArithmeticError, match="k = 2, m = 1"):
-            series.extract_coefficient(series.build_multiplicity_gf(2, 1), 10)
+            series.extract_coefficient(10, 2, 1)
 
     def test_exponent_one_needs_no_inverse(self, monkeypatch):
         def refuse(k):
             raise AssertionError("m = 0 inverted the derivative")
 
         monkeypatch.setattr(series, "_derivative_inverse", refuse)
-        assert series.extract_coefficient(series.build_multiplicity_gf(5, 0), 500) == (
-            recurrence_coefficient(series.build_multiplicity_gf(5, 0), 500)
-        )
-
-    def test_exponent_above_one_needs_the_multiplicity_kernel(self):
-        with pytest.raises(ValueError):
-            series.RationalFunctionSpec((1,), (1, -1, -2), 2)
-        with pytest.raises(ValueError):
-            series.RationalFunctionSpec((1,), (1, -1), 2)
-        with pytest.raises(ValueError):
-            series.RationalFunctionSpec((1,), (1, -1), 0)
-        spec = series.RationalFunctionSpec((0, 1), (1, -1, -1), 2)  # z / (1 - z - z^2)^2
-        assert spec == series.RationalFunctionSpec((0, 1), series._multiplicity_kernel(1), 2)
-        assert [series.extract_coefficient(spec, n) for n in range(8)] == [0, 1, 2, 5, 10, 20, 38, 71]
+        assert series.extract_coefficient(500, 5, 0) == recurrence_coefficient(5, 0, 500)
 
     @pytest.mark.parametrize(
         "n,k,m,route",
@@ -275,32 +281,22 @@ class TestExtractCoefficient:
     def test_route(self, monkeypatch, n, k, m, route):
         # "_extract_by_powmod" labels the power route, whose body is now
         # extract_coefficient itself; the label keeps the test ids unchanged.
-        monkeypatch.setattr(series, "extract_coefficient", lambda spec, n: "_extract_by_powmod")
+        monkeypatch.setattr(series, "extract_coefficient", lambda n, k, m: "_extract_by_powmod")
         monkeypatch.setattr(
             series, "_count_by_inclusion_exclusion", lambda n, k, m: "_count_by_inclusion_exclusion"
         )
         assert series.count_with_multiplicity(n, k, m) == route
-
-    def test_numerator_degree_past_the_denominator_is_refused(self):
-        # (1 + 5z^3) / (1 - z): the numerator reaches past d = 1, so x^n
-        # against the initial window would be wrong.
-        with pytest.raises(ValueError):
-            series.RationalFunctionSpec((1, 0, 0, 5), (1, -1))
-        with pytest.raises(ValueError):
-            series.RationalFunctionSpec((1, 1), (1, -1))
-        assert series.extract_coefficient(series.RationalFunctionSpec((1,), (1, -1)), 10) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 3000), st.integers(1, 60), st.integers(0, 5))
     def test_routes_match_the_recurrence_random(self, n, k, m):
         # Each route runs where it is cheap enough for a test: the power up
         # to d = 120, inclusion-exclusion up to about 2 10^5 steps.
-        spec = series.build_multiplicity_gf(k, m)
-        exact = recurrence_coefficient(spec, n)
+        exact = recurrence_coefficient(k, m, n)
         if n:
             assert series.count_with_multiplicity(n, k, m) == exact
-        if spec.denominator_degree <= 120:
-            assert series.extract_coefficient(spec, n) == exact
+        if (k + 1) * (m + 1) <= 120:
+            assert series.extract_coefficient(n, k, m) == exact
         if n and (n // k) ** 2 <= 400_000:
             assert series._count_by_inclusion_exclusion(n, k, m) == exact
 
@@ -331,7 +327,7 @@ class TestProbabilities:
     def test_inclusion_exclusion_matches_extraction(self, n, m, k):
         # k up to n + 1 reaches k m > n and r = n - kj = 0 (k | n).
         count = series._count_by_inclusion_exclusion(n, k, m)
-        assert count == recurrence_coefficient(series.build_multiplicity_gf(k, m), n)
+        assert count == recurrence_coefficient(k, m, n)
 
     @pytest.mark.parametrize(
         "n,k,m", [(10, 4, 3), (12, 4, 3), (300, 1, 0), (300, 1, 4), (300, 300, 1), (300, 150, 2)]
@@ -339,7 +335,7 @@ class TestProbabilities:
     def test_inclusion_exclusion_edges(self, n, k, m):
         # k m > n; r = 0 at j = 3; k = 1; r = 0 at j = m = 1 and 2.
         count = series._count_by_inclusion_exclusion(n, k, m)
-        assert count == recurrence_coefficient(series.build_multiplicity_gf(k, m), n)
+        assert count == recurrence_coefficient(k, m, n)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_expected_sizes_equal_extraction_sum(self, m):
@@ -347,7 +343,7 @@ class TestProbabilities:
         # recurrence is the reference for every term.
         n = 600
         total = sum(
-            recurrence_coefficient(series.build_multiplicity_gf(k, m), n)
+            recurrence_coefficient(k, m, n)
             for k in range(1, n // m + 1)
         )
         assert series.expected_sizes_with_multiplicity(n, m) == Fraction(total, 1 << (n - 1))
@@ -521,7 +517,7 @@ class TestCertifiedWindow:
     def test_window_never_raises_the_power_past_512(self, n, monkeypatch):
         from compana import cli
 
-        def refuse(spec, n):
+        def refuse(n, k, m):
             raise AssertionError("the window bound raised the power")
 
         monkeypatch.setattr(series, "extract_coefficient", refuse)

@@ -1,4 +1,5 @@
-"""Every public name in the package is used by the package itself.
+"""Every public name in the package is used by the package itself, and
+every name the README's "Library" section lists exists.
 
 A top-level function, class or UPPER_CASE constant in ``src/compana`` whose
 name starts without an underscore must be named by code somewhere in
@@ -9,10 +10,12 @@ syntax tree.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "compana"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "compana"
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
@@ -59,3 +62,29 @@ def unused_public_names() -> list[str]:
 def test_every_public_name_is_used_by_the_package():
     unused = unused_public_names()
     assert not unused, "public names no package code uses: " + ", ".join(unused)
+
+
+def library_names() -> list[tuple[str, str]]:
+    """(module, name) for every name the README's "Library" section lists:
+    the backticked names of each "- `compana.<module>`:" entry, and the
+    names its example imports from the package."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for module, body in re.findall(r"^- `(compana\.\w+)`:(.*?)(?=^- |^$)", section, re.M | re.S):
+        listed += [(module, name) for name in re.findall(r"`([A-Za-z_]\w*)[`(]", body)]
+    for imports in re.findall(r"^from (compana) import \((.*?)\)", section, re.M | re.S):
+        listed += [(imports[0], name) for name in re.findall(r"\w+", imports[1])]
+    return listed
+
+
+def test_readme_library_names_exist():
+    listed = library_names()
+    sections = ("compositions", "series", "singularity", "asymptotics")
+    assert {module for module, _ in listed} == {"compana", *(f"compana.{m}" for m in sections)}
+    missing = [
+        f"{module}.{name}"
+        for module, name in listed
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, "README names what the package lacks: " + ", ".join(missing)
