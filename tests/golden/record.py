@@ -78,6 +78,12 @@ INVOCATIONS: list[tuple[str, ...]] = [
     ("distinct", "--n", "600", "--trials", "500", "--seed", "2", "--precision", "17"),
     ("distinct", "--n", "1e9", "--trials", "200", "--seed", "2", "--precision", "17",
      "--format", "json"),
+    # distinct at n = 1400, where sizes 19..24 of the upper tail are pole
+    # terms; and at n = 3, where trials end with one part left after k = 1.
+    ("distinct", "--n", "1400", "--trials", "2000", "--seed", "11", "--precision", "17",
+     "--format", "json"),
+    ("distinct", "--n", "3", "--trials", "200", "--seed", "4", "--format", "json"),
+    ("sample", "--n", "3", "--m", "1", "--trials", "200", "--seed", "4", "--precision", "17"),
     # compare: every route, with and without Monte Carlo.
     ("compare", "--n", "10,100,400", "--m", "1"),
     ("compare", "--n", "12,50", "--m", "2", "--trials", "1000", "--seed", "9", "--format", "json"),
