@@ -10,7 +10,11 @@ table that a walk over the partitions of ``n`` fills (about 5 ms at
 n = 25), and seeded Monte Carlo estimators that remain
 practical for very large ``n`` (a profile of a uniform composition of
 ``n = 10**6`` is sampled in a few dozen vectorized draws of part-size counts
-rather than by materializing ~n/2 parts).
+rather than by materializing ~n/2 parts).  Each draw runs over the trials
+that still have two or more parts left, and only over those: a trial with
+one part left has one more size and is finished without drawing, so the
+generator's stream, and with it every seeded result, is the one a scan over
+the whole batch would give.
 
 Only the Monte Carlo estimators use numpy and a thread pool, and they import
 them when first called.  Enumeration, like the other three routes, runs on
@@ -168,33 +172,56 @@ def _profile_stats_batch(
     among M-1, sample size p-1 (all parts equal k exactly when M == p).
     Scanning k = 1, 2, ... therefore costs about log2(n) vectorized draws
     per batch instead of O(n) bits per trial.
+
+    The scan keeps arrays for the live trials only, in batch order.  A trial
+    with at most one part left never draws again: its last part, if any, is
+    one more size, of multiplicity 1, so it is written out and dropped.  A
+    scan over the whole batch draws for the same trials (those with two or
+    more parts left), so each draw gets the same (good, bad, sample) triple
+    in the same order, and the generator's stream and the counts do not
+    depend on the dropping.
     """
     import numpy as np
     if n > 1:
         p = 1 + rng.binomial(n - 1, 0.5, size=size).astype(np.int64)
     else:
         p = np.ones(size, dtype=np.int64)
-    remaining = np.full(size, n, dtype=np.int64)
-    distinct = np.zeros(size, dtype=np.int64)
-    hits = np.zeros(size, dtype=np.int64) if m is not None else None
+    distinct = np.empty(size, dtype=np.int64)
+    hits = np.empty(size, dtype=np.int64) if m is not None else None
+    trial = np.arange(size)
+    shifted = np.full(size, n, dtype=np.int64)  # M = S - (k-1)p, live trials
+    seen = np.zeros(size, dtype=np.int64)
+    seen_m = np.zeros(size, dtype=np.int64) if m is not None else None
     k = 1
-    while p.max() > 0:
+    while True:
+        if p.min() <= 1:
+            done = p <= 1
+            out, last = trial[done], p[done]
+            distinct[out] = seen[done] + last
+            if hits is not None:
+                hits[out] = seen_m[done] + last if m == 1 else seen_m[done]
+            if len(out) == len(p):
+                return distinct, hits
+            live = ~done
+            trial, p, shifted, seen = trial[live], p[live], shifted[live], seen[live]
+            if seen_m is not None:
+                seen_m = seen_m[live]
         if k > n:
             raise RuntimeError("profile scan exceeded the maximum part size")
-        shifted = remaining - (k - 1) * p
-        c = np.zeros(size, dtype=np.int64)
-        full = (shifted == p) & (p > 0)
-        c[full] = p[full]
-        hyp = ~full & (p > 1)
-        if hyp.any():
-            c[hyp] = rng.hypergeometric(p[hyp], shifted[hyp] - 1 - p[hyp], p[hyp] - 1)
-        distinct += c > 0
-        if hits is not None:
-            hits += c == m
-        remaining -= k * c
+        full = shifted == p
+        if full.any():
+            c = p.copy()
+            hyp = ~full
+            if hyp.any():
+                c[hyp] = rng.hypergeometric(p[hyp], shifted[hyp] - 1 - p[hyp], p[hyp] - 1)
+        else:
+            c = rng.hypergeometric(p, shifted - 1 - p, p - 1)
+        seen += c > 0
+        if seen_m is not None:
+            seen_m += c == m
+        shifted -= p  # S - kc - k(p - c) = M - p
         p -= c
         k += 1
-    return distinct, hits
 
 
 def _mc_event_worker(args: tuple[int, int, int, int, int]) -> tuple[float, float]:

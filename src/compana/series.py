@@ -24,8 +24,8 @@ chooses between them:
   small-by-big integer steps, cheap for large k.
 
 Past n = 512 the window bound needs P(size j absent) only to a fixed
-number of bits, and takes the terms the power would count from a proved
-dominant-pole interval instead (_absent_interval).
+number of bits, and takes a term from a proved dominant-pole interval
+(_absent_interval) wherever that costs less than the exact count.
 """
 
 from __future__ import annotations
@@ -77,11 +77,28 @@ _SQUARE_SPLIT_MIN_LEN_BITS = 8192
 
 # Window bounds: up to this n every term is exact; above it the upper tail
 # past high + _WINDOW_TAIL_TERMS is replaced by a closed-form majorant, and
-# the terms that the power would count come from the dominant pole, at
-# _WINDOW_BITS + j fractional bits or more.
+# a term P(size j absent) at 2^-exponent comes from the dominant pole where
+# the pole costs less than the exact count (_window_term_by_pole).
 _WINDOW_EXACT_MAX_N = 512  # a majorant here moves printed bounds at 12 digits
 _WINDOW_BITS = 160
 _WINDOW_TAIL_TERMS = 12
+
+# Pole rule: the pole's cost grows with j and the exponent (integers of about
+# j exponent bits), the power's with j and n, inclusion-exclusion's falls
+# with j (about (n/j)^2 / 2 steps on n-bit integers).  The pole is taken
+# against the power while exponent < _POLE_POWER_SCALE n^(1/3), against
+# inclusion-exclusion while j^2 exponent < _POLE_IE_SCALE n^_POLE_IE_N_POWER.
+# Fitted to the measured crossovers on n = 513..10^4, exponent = 185..900
+# (Python 3.11 plain ints, 2-CPU x86-64 VM): against inclusion-exclusion
+# j* = 29-30, 23-24, 18-19, 15-16 at n = 1000 for exponents 185, 300, 500,
+# 900, and 121-122 at n = 10^4, exponent 185; against the power the
+# exponent crosses over at 430-500 for n = 700 and 1000, 600-750 at 2000,
+# past 900 from 5000 on.  Of the 6050 grid cells, all but 9 take at most
+# 1.3x the cheaper route's time; those 9 have j = 1, where the power takes
+# 26-41 us, and take at most 1.7x.
+_POLE_POWER_SCALE = 55
+_POLE_IE_SCALE = 30
+_POLE_IE_N_POWER = 1.25
 
 
 def _kernel_terms(k: int) -> list[tuple[int, int]]:
@@ -380,19 +397,30 @@ def _dominant_pole(j: int, bits: int) -> tuple[int, int]:
     Q(z) = 1 - 2z + z^j (1 - z) in [1/2, 4/5], by integer Newton.
 
     Q(1/2) > 0 > Q(4/5) and -Q' > 1 on [1/2, 4/5], so the exact signs
-    Q(a) > 0 >= Q(b) with 1/2 <= a < b < 4/5 prove the bracket.
+    Q(a) > 0 >= Q(b) with 1/2 <= a < b < 4/5 prove the bracket.  Past 64
+    bits Newton starts from the bracket at half the bits, so each level
+    takes a step or two and all levels together cost about two steps on
+    full-size integers.
     """
     one = 1 << bits
 
     def q(x: int) -> int:  # 2^(bits (j + 1)) Q(x / 2^bits), exact
         return ((one - 2 * x) << bits * j) + x**j * (one - x)
 
-    x = (one >> 1) + (one >> (j + 2))
+    if bits > 64:
+        half = (bits + 1) // 2
+        x = _dominant_pole(j, half)[0] << (bits - half)
+    else:
+        x = (one >> 1) + (one >> (j + 2))
     for _ in range(bits.bit_length() + 8):  # Newton converges quadratically
-        value, b = q(x), x + 1
+        low = x ** (j - 1)
+        power = low * x
+        value, b = ((one - 2 * x) << bits * j) + power * (one - x), x + 1
         if value > 0 >= q(b) and one <= 2 * x and 5 * b < 4 * one:
             return x, b
-        x += value // _slope(j, bits, x, x) or 1  # a 0 step moves one unit up
+        # -Q'(x) at scale 2^(bits j), as _slope(j, bits, x, x) gives it.
+        slope = (2 << bits * j) - (j * low << bits) + (j + 1) * power
+        x += value // slope or 1  # a 0 step moves one unit up
     raise ArithmeticError(f"no bracket found for the pole of size {j}")
 
 
@@ -442,14 +470,23 @@ def _absent_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
     return max(0, (lo - rem) >> drop), min(1 << exponent, -((-hi - rem) >> drop))
 
 
+def _window_term_by_pole(n: int, j: int, exponent: int) -> bool:
+    """Whether P(size j absent) at 2^-exponent costs less from the pole
+    than from the exact count, by the route count_with_multiplicity takes."""
+    if _counts_by_power(n, j, 0):
+        return exponent**3 < _POLE_POWER_SCALE**3 * n
+    return j * j * exponent < _POLE_IE_SCALE * n**_POLE_IE_N_POWER
+
+
 def _window_term_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
     """Integers lo <= 2^exponent * P(size j absent) <= hi.
 
-    Above n = _WINDOW_EXACT_MAX_N a size that count_with_multiplicity would
-    count by the power takes the pole interval; every other term is the
-    exact count rounded outward (exact when exponent = n - 1).
+    Above n = _WINDOW_EXACT_MAX_N a term takes the pole interval wherever
+    the pole is the cheaper route (_window_term_by_pole; the pole's proof
+    holds for every j); every other term is the exact count rounded outward
+    (exact when exponent = n - 1).
     """
-    if n > _WINDOW_EXACT_MAX_N and _counts_by_power(n, j, 0):
+    if n > _WINDOW_EXACT_MAX_N and _window_term_by_pole(n, j, exponent):
         return _absent_interval(n, j, exponent)
     scaled = count_with_multiplicity(n, j, 0) << exponent
     return scaled >> (n - 1), -((-scaled) >> (n - 1))
@@ -484,10 +521,14 @@ def window_lower_bound(n: int, low: int, high: int) -> Fraction:
     For ``n <= 512`` both sums are exact.  For larger n only the first 12
     terms of the upper tail are summed; the remainder is replaced by its
     closed-form expected-occurrence majorant, which stays within
-    2^-(high + 12) * O(n) of the true sum.  Each term of a size that
-    count_with_multiplicity would count by the power is then a certified
+    2^-(high + 12) * O(n) of the true sum.  A term is then a certified
     dominant-pole interval (2A (2 rho)^-n plus a proved remainder, at most
-    4 units of 2^-(160 + max(low, high + 12)) wide), and every other term is
+    4 units of 2^-(160 + max(low, high + 12)) wide) wherever the pole costs
+    less than the exact count: for every size that count_with_multiplicity
+    would count by the power while 160 + max(low, high + 12) < 55 n^(1/3),
+    and for a size j it would count by inclusion-exclusion while
+    j^2 (160 + max(low, high + 12)) < 30 n^1.25; at distinct's own
+    windows, for every term from n = 642 on.  Every other term is
     the exact term rounded outward; each tail takes the unfavourable end of
     every interval.
     """

@@ -258,6 +258,84 @@ class TestProfileSampler:
         assert estimate.stderr > 0
 
 
+def full_width_profile_stats(n, size, rng, m):
+    """The reference scan: every k-step runs over the whole batch, finished
+    trials included, and keeps the running total of each trial."""
+    if n > 1:
+        p = 1 + rng.binomial(n - 1, 0.5, size=size).astype(np.int64)
+    else:
+        p = np.ones(size, dtype=np.int64)
+    remaining = np.full(size, n, dtype=np.int64)
+    distinct = np.zeros(size, dtype=np.int64)
+    hits = np.zeros(size, dtype=np.int64) if m is not None else None
+    k = 1
+    while p.max() > 0:
+        shifted = remaining - (k - 1) * p
+        c = np.zeros(size, dtype=np.int64)
+        full = (shifted == p) & (p > 0)
+        c[full] = p[full]
+        hyp = ~full & (p > 1)
+        if hyp.any():
+            c[hyp] = rng.hypergeometric(p[hyp], shifted[hyp] - 1 - p[hyp], p[hyp] - 1)
+        distinct += c > 0
+        if hits is not None:
+            hits += c == m
+        remaining -= k * c
+        p -= c
+        k += 1
+    return distinct, hits
+
+
+class TestLiveTrialScan:
+    """The live-trial scan draws what the full-width scan draws: equal counts
+    and an equal generator state after every batch."""
+
+    @staticmethod
+    def assert_same_batch(n, size, m, seed):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        distinct, hits = comps._profile_stats_batch(n, size, rngs[0], m)
+        ref_distinct, ref_hits = full_width_profile_stats(n, size, rngs[1], m)
+        assert distinct.dtype == ref_distinct.dtype == np.int64
+        assert distinct.tolist() == ref_distinct.tolist()
+        if m is None:
+            assert hits is None
+        else:
+            assert hits.dtype == np.int64
+            assert hits.tolist() == ref_hits.tolist()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, 10, 16, 100, 1000, 1200, 17_000, 40_000, 10**6, 10**9]
+    )
+    def test_grid(self, n):
+        for size in (1, 7, 2000):
+            for m in (None, 1, 2, 3):
+                self.assert_same_batch(n, size, m, seed=n * 7 + size + (m or 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5000),
+        st.integers(1, 3000),
+        st.sampled_from([None, 1, 2, 3, 4, 5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_batches(self, n, size, m, seed):
+        self.assert_same_batch(n, size, m, seed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_estimators_over_two_batches(self, monkeypatch, workers):
+        # 70 000 trials take two batches of _MC_BATCH in one worker.
+        trials = 70_000
+        assert comps._MC_BATCH < trials <= 2 * comps._MC_BATCH
+        runs = []
+        for batch in (comps._profile_stats_batch, full_width_profile_stats):
+            monkeypatch.setattr(comps, "_profile_stats_batch", batch)
+            estimate = comps.mc_event_probability(1200, 2, trials, seed=21, workers=workers)
+            hist = comps.distinct_size_histogram(1200, trials, seed=21, workers=workers)
+            runs.append((estimate, hist.tolist()))
+        assert runs[0] == runs[1]
+
+
 class TestMonteCarloEstimator:
     def test_impossible_multiplicity_is_zero(self):
         estimate = comps.mc_event_probability(5, 7, trials=5_000, seed=1)

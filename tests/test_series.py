@@ -459,6 +459,10 @@ class TestCertifiedWindow:
     @example(20, 5)
     @example(300, 60)
     @example(513, 1)
+    # Terms that moved from inclusion-exclusion to the pole at distinct's
+    # own windows.
+    @example(1400, 24)
+    @example(2000, 25)
     def test_interval_brackets_exact_term(self, n, j):
         exponent = series._WINDOW_BITS + 40
         lo, hi = series._absent_interval(n, j, exponent)
@@ -466,6 +470,16 @@ class TestCertifiedWindow:
         assert Fraction(lo, 1 << exponent) <= exact <= Fraction(hi, 1 << exponent)
         if n > 512:
             assert hi - lo <= 4
+
+    @pytest.mark.parametrize("bits", [16, 64, 65, 129, 211, 527, 1000])
+    def test_pole_bracket_signs(self, bits):
+        # Past 64 bits Newton starts from the bracket at half the bits; the
+        # result must still be the bracket that the exact signs of Q prove.
+        for j in (1, 2, 3, 5, 13, 24, 60, 200):
+            a, b = series._dominant_pole(j, bits)
+            x, y = Fraction(a, 1 << bits), Fraction(b, 1 << bits)
+            assert b == a + 1
+            assert 1 - 2 * x + x**j * (1 - x) > 0 >= 1 - 2 * y + y**j * (1 - y)
 
     @pytest.mark.parametrize("n", [513, 1000, 4097, 9000])
     def test_bound_is_below_exact_route(self, n):
@@ -490,9 +504,11 @@ class TestCertifiedWindow:
         assert exact_above <= above < exact_above + Fraction(1, 1 << 100)
 
     def test_exact_terms_past_crossover(self, monkeypatch):
-        # Above n = 512 a size that the power would count takes the pole
-        # interval; every other term takes the exact coefficient, rounded
-        # outward.
+        # Above n = 512 a term takes the pole interval where the pole is the
+        # cheaper route: against the power (small j) while
+        # exponent < 55 n^(1/3), against inclusion-exclusion while
+        # j^2 exponent < 30 n^1.25.  Every other term takes the exact
+        # coefficient, rounded outward.
         poles = []
 
         def spy(n, j, exponent):
@@ -501,17 +517,42 @@ class TestCertifiedWindow:
 
         absent_interval = series._absent_interval
         monkeypatch.setattr(series, "_absent_interval", spy)
-        exponent = 220
-        for n, j, pole in [
-            (512, 1, False), (512, 11, False), (513, 1, True), (513, 11, True),
-            (513, 12, False), (2000, 21, True), (2000, 22, False), (40000, 75, True),
-            (40000, 76, False), (1000, 999, False), (1000, 1000, False),
+        for n, j, exponent, pole in [
+            (512, 1, 220, False), (512, 11, 220, False),
+            # 513: the power counts j <= 11; inclusion-exclusion from 12.
+            (513, 1, 220, True), (513, 11, 220, True), (513, 18, 220, True),
+            (513, 19, 220, False),
+            # 1000: the power counts j <= 15; 55 * 1000^(1/3) = 550.
+            (1000, 5, 549, True), (1000, 5, 550, False), (1000, 15, 549, True),
+            (1000, 16, 549, True), (1000, 17, 549, True), (1000, 18, 549, False),
+            (1000, 999, 220, False), (1000, 1000, 220, False),
+            (1400, 24, 184, True), (2000, 42, 220, True), (2000, 43, 220, False),
+            (40000, 277, 220, True), (40000, 278, 220, False),
         ]:
             poles.clear()
             lo, hi = series._window_term_interval(n, j, exponent)
             exact = Fraction(series.count_with_multiplicity(n, j, 0), 1 << (n - 1))
             assert Fraction(lo, 1 << exponent) <= exact <= Fraction(hi, 1 << exponent)
-            assert bool(poles) == pole == (n > 512 and series._counts_by_power(n, j, 0))
+            assert bool(poles) == pole == (n > 512 and series._window_term_by_pole(n, j, exponent))
+
+    def test_wide_window_takes_the_pole_where_it_is_cheaper(self, monkeypatch):
+        # At (700, 200, 300) the terms run to j = 312 at exponent 472.  The
+        # pole undercuts the power, which counts j <= 13, since
+        # 472 < 55 * 700^(1/3), and inclusion-exclusion up to j = 15; from
+        # j = 16 inclusion-exclusion is the cheaper.
+        poles = []
+
+        def spy(n, j, exponent):
+            poles.append((j, exponent))
+            return absent_interval(n, j, exponent)
+
+        absent_interval = series._absent_interval
+        monkeypatch.setattr(series, "_absent_interval", spy)
+        bound = series.window_lower_bound(700, 200, 300)
+        assert poles == [(j, 472) for j in range(1, 16)]
+        exact = exact_route_window_bound(700, 200, 300)
+        assert bound <= exact
+        assert exact - bound < Fraction(1, 1 << 400)
 
     @pytest.mark.parametrize("n", [513, 1000, 2000, 40000, 10**9])
     def test_window_never_raises_the_power_past_512(self, n, monkeypatch):
