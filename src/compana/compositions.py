@@ -188,10 +188,12 @@ def _profile_stats_batch(
         p = np.ones(size, dtype=np.int64)
     distinct = np.empty(size, dtype=np.int64)
     hits = np.empty(size, dtype=np.int64) if m is not None else None
-    trial = np.arange(size)
-    shifted = np.full(size, n, dtype=np.int64)  # M = S - (k-1)p, live trials
-    seen = np.zeros(size, dtype=np.int64)
-    seen_m = np.zeros(size, dtype=np.int64) if m is not None else None
+    # Per live trial: its index, M = S - (k-1)p, and the sizes seen so far
+    # (at most isqrt(2n) distinct sizes, so 32 bits hold every count).
+    trial = np.arange(size, dtype=np.int32)
+    shifted = np.full(size, n, dtype=np.int64)
+    seen = np.zeros(size, dtype=np.int32)
+    seen_m = np.zeros(size, dtype=np.int32) if m is not None else None
     k = 1
     while True:
         if p.min() <= 1:

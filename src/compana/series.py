@@ -90,12 +90,13 @@ _WINDOW_TAIL_TERMS = 12
 # inclusion-exclusion while j^2 exponent < _POLE_IE_SCALE n^_POLE_IE_N_POWER.
 # Fitted to the measured crossovers on n = 513..10^4, exponent = 185..900
 # (Python 3.11 plain ints, 2-CPU x86-64 VM): against inclusion-exclusion
-# j* = 29-30, 23-24, 18-19, 15-16 at n = 1000 for exponents 185, 300, 500,
-# 900, and 121-122 at n = 10^4, exponent 185; against the power the
-# exponent crosses over at 430-500 for n = 700 and 1000, 600-750 at 2000,
-# past 900 from 5000 on.  Of the 6050 grid cells, all but 9 take at most
-# 1.3x the cheaper route's time; those 9 have j = 1, where the power takes
-# 26-41 us, and take at most 1.7x.
+# j* = 29-30, 23-24 and 18-19 at n = 1000 for exponents 185, 300 and 500
+# (at 900 inclusion-exclusion is the cheaper from its first size, 16), and
+# 121-122 at n = 10^4, exponent 185; against the power, for j >= 3, the
+# exponent crosses over at 430-500 for n = 700 and 1000, at 600-750 for
+# 2000 and past 900 from 5000 on (lower at j = 1 and 2).  Of the 6050 grid
+# cells, all but 9 take at most 1.3x the cheaper route's time; those 9
+# have j = 1, where the power takes 26-41 us, and take at most 1.7x.
 _POLE_POWER_SCALE = 55
 _POLE_IE_SCALE = 30
 _POLE_IE_N_POWER = 1.25
