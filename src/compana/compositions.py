@@ -11,10 +11,10 @@ n = 25), and seeded Monte Carlo estimators that remain
 practical for very large ``n`` (a profile of a uniform composition of
 ``n = 10**6`` is sampled in a few dozen vectorized draws of part-size counts
 rather than by materializing ~n/2 parts).  Each draw runs over the trials
-that still have two or more parts left, and only over those: a trial with
-one part left has one more size and is finished without drawing, so the
-generator's stream, and with it every seeded result, is the one a scan over
-the whole batch would give.
+that still need one, and only over those: a trial with one part left, or
+whose parts left all have the current size, has one more size and is
+finished without drawing, so the generator's stream, and with it every
+seeded result, is the one a scan over the whole batch would give.
 
 Only the Monte Carlo estimators use numpy and a thread pool, and they import
 them when first called.  Enumeration, like the other three routes, runs on
@@ -174,12 +174,12 @@ def _profile_stats_batch(
     per batch instead of O(n) bits per trial.
 
     The scan keeps arrays for the live trials only, in batch order.  A trial
-    with at most one part left never draws again: its last part, if any, is
-    one more size, of multiplicity 1, so it is written out and dropped.  A
-    scan over the whole batch draws for the same trials (those with two or
-    more parts left), so each draw gets the same (good, bad, sample) triple
-    in the same order, and the generator's stream and the counts do not
-    depend on the dropping.
+    never draws again once it has one part left, or once M == p
+    (its parts left all equal k): either way one more size remains, of
+    multiplicity p, so the trial is written out and dropped.  A scan over the
+    whole batch draws for the same trials (those with p >= 2 and M > p), so
+    each draw gets the same (good, bad, sample) triple in the same order,
+    and the generator's stream and the counts do not depend on the dropping.
     """
     import numpy as np
     if n > 1:
@@ -188,41 +188,36 @@ def _profile_stats_batch(
         p = np.ones(size, dtype=np.int64)
     distinct = np.empty(size, dtype=np.int64)
     hits = np.empty(size, dtype=np.int64) if m is not None else None
-    # Per live trial: its index, M = S - (k-1)p, and the sizes seen so far
-    # (at most isqrt(2n) distinct sizes, so 32 bits hold every count).
+    # Per live trial: its index, the draw's bad count M - 1 - p, and the
+    # sizes seen so far (at most isqrt(2n) distinct sizes, so 32 bits hold
+    # every count).  A drawn c is at most p - 1, so p stays >= 1.
     trial = np.arange(size, dtype=np.int32)
-    shifted = np.full(size, n, dtype=np.int64)
+    bad = n - 1 - p
     seen = np.zeros(size, dtype=np.int32)
     seen_m = np.zeros(size, dtype=np.int32) if m is not None else None
     k = 1
     while True:
-        if p.min() <= 1:
-            done = p <= 1
-            out, last = trial[done], p[done]
-            distinct[out] = seen[done] + last
+        done = (p <= 1) | (bad < 0)  # bad == -1 exactly when M == p
+        out = np.flatnonzero(done)
+        if len(out):
+            index = trial[out]
+            distinct[index] = seen[out] + 1
             if hits is not None:
-                hits[out] = seen_m[done] + last if m == 1 else seen_m[done]
+                hits[index] = seen_m[out] + (p[out] == m)
             if len(out) == len(p):
                 return distinct, hits
-            live = ~done
-            trial, p, shifted, seen = trial[live], p[live], shifted[live], seen[live]
+            keep = np.flatnonzero(~done)
+            trial, p, bad, seen = trial[keep], p[keep], bad[keep], seen[keep]
             if seen_m is not None:
-                seen_m = seen_m[live]
+                seen_m = seen_m[keep]
         if k > n:
             raise RuntimeError("profile scan exceeded the maximum part size")
-        full = shifted == p
-        if full.any():
-            c = p.copy()
-            hyp = ~full
-            if hyp.any():
-                c[hyp] = rng.hypergeometric(p[hyp], shifted[hyp] - 1 - p[hyp], p[hyp] - 1)
-        else:
-            c = rng.hypergeometric(p, shifted - 1 - p, p - 1)
+        c = rng.hypergeometric(p, bad, p - 1)
         seen += c > 0
         if seen_m is not None:
             seen_m += c == m
-        shifted -= p  # S - kc - k(p - c) = M - p
         p -= c
+        bad -= p  # M' = S - kc - k(p - c) = M - p, so bad' = bad - p'
         k += 1
 
 
