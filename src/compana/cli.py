@@ -385,12 +385,17 @@ def _add_sampling_options(parser: argparse.ArgumentParser, trials_default: int) 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+    """The argument parser, built on first use and shared by later calls.
+
+    Its ``subcommands`` attribute maps each subcommand's name to that
+    subcommand's own parser, for main's single parsing pass.
+    """
     parser = argparse.ArgumentParser(
         prog="compana",
         description="Multiplicity statistics of uniform random integer compositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("exact", help="exact event probabilities by enumeration")
     p.add_argument("--n", type=parse_count, required=True)
@@ -448,9 +453,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace parse_args gives, from one argparse pass.
+
+    The full parser runs its own pass and then the subcommand's parser on
+    the rest; the subcommand's parser alone gives the same namespace.  When
+    argv[0] names no subcommand or arguments are left over, the full parser
+    runs, so that argparse's own message and exit code come out.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     # Exact rationals past n ~ 14 300 have more than 4300 decimal digits.
     # The limit stays lifted so that an in-process caller can read the
     # printed rationals back; parse_count applies the default limit itself.

@@ -386,16 +386,10 @@ def _presence_tail_majorant_scaled(n: int, start: int, exponent: int) -> int:
     return -((-scaled) >> (start - exponent))
 
 
-def _slope(j: int, bits: int, x: int, y: int) -> int:
-    """2^(bits j) (2 - j (y/2^bits)^(j-1) + (j+1) (x/2^bits)^j): -Q'(z) for
-    x = y = 2^bits z, a lower bound for x <= 2^bits z <= y, an upper one for
-    y <= 2^bits z <= x."""
-    return (2 << bits * j) - (j * y ** (j - 1) << bits) + (j + 1) * x**j
-
-
-def _dominant_pole(j: int, bits: int) -> tuple[int, int]:
+def _dominant_pole(j: int, bits: int) -> tuple[int, int, int]:
     """Integers a, b = a + 1 with a < 2^bits rho <= b, rho the zero of
-    Q(z) = 1 - 2z + z^j (1 - z) in [1/2, 4/5], by integer Newton.
+    Q(z) = 1 - 2z + z^j (1 - z) in [1/2, 4/5], by integer Newton, and
+    a^(j-1) from the last step.
 
     Q(1/2) > 0 > Q(4/5) and -Q' > 1 on [1/2, 4/5], so the exact signs
     Q(a) > 0 >= Q(b) with 1/2 <= a < b < 4/5 prove the bracket.  Past 64
@@ -418,8 +412,8 @@ def _dominant_pole(j: int, bits: int) -> tuple[int, int]:
         power = low * x
         value, b = ((one - 2 * x) << bits * j) + power * (one - x), x + 1
         if value > 0 >= q(b) and one <= 2 * x and 5 * b < 4 * one:
-            return x, b
-        # -Q'(x) at scale 2^(bits j), as _slope(j, bits, x, x) gives it.
+            return x, b, low
+        # -Q'(x) at scale 2^(bits j).
         slope = (2 << bits * j) - (j * low << bits) + (j + 1) * power
         x += value // slope or 1  # a 0 step moves one unit up
     raise ArithmeticError(f"no bracket found for the pole of size {j}")
@@ -459,13 +453,19 @@ def _absent_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
     remainder, is rounded outward to 2^exponent.
     """
     bits = exponent + n.bit_length() + 16
-    a, b = _dominant_pole(j, bits)
+    a, b, a_low = _dominant_pole(j, bits)
     one, shift = 1 << bits, bits * j + 1
     # 2 A (2 rho)^-n at scale 2^bits, with 1/(2 rho) in [one^2/2b, one^2/2a).
     power_lo = _fixed_power((one << bits) // (2 * b), n, bits, False)
     power_hi = _fixed_power(-(-(one << bits) // (2 * a)), n, bits, True)
-    lo = ((one - b) << shift) * power_lo // (b * _slope(j, bits, b, a))
-    hi = -(-((one - a) << shift) * power_hi // (a * _slope(j, bits, a, b)))
+    # -Q'(z) = 2 - j z^(j-1) + (j+1) z^j at scale 2^(bits j), bounded below
+    # over [a, b] by z^(j-1) at b and z^j at a, and above the other way round.
+    b_low = b ** (j - 1)
+    two = 2 << bits * j
+    slope_lo = two - (j * b_low << bits) + (j + 1) * a_low * a
+    slope_hi = two - (j * a_low << bits) + (j + 1) * b_low * b
+    lo = ((one - b) << shift) * power_lo // (b * slope_hi)
+    hi = -(-((one - a) << shift) * power_hi // (a * slope_lo))
     rem = 1 << max(0, bits + 6 - 2 * n // 3)
     drop = bits - exponent
     return max(0, (lo - rem) >> drop), min(1 << exponent, -((-hi - rem) >> drop))

@@ -52,6 +52,18 @@ def _series_root(k: int) -> float:
 def solve_dominant_root(k: int) -> DominantRoot:
     """Locate the unique kernel zero in (0, 1); past k = 40, _series_root(k).
 
+    The root is _root(k), with the bracket it lies in, its residual |Q|
+    and the method that found it.
+    """
+    x = _root(k)
+    lo, hi = root_bracket(k)
+    method = "bisection+newton" if k <= NEWTON_MAX_K else "series-expansion"
+    return DominantRoot(x, lo, hi, abs(kernel_value(k, x)), method)
+
+
+def _root(k: int) -> float:
+    """The dominant root as a float; past k = NEWTON_MAX_K, _series_root(k).
+
     Newton from 1/2 + 2^-(k+2) (the bracket midpoint for k <= 3), then a
     walk by single doubles to the adjacent a < b with Q(a) > 0 >= Q(b) in
     floats; the root is their midpoint rounded, whose |Q| is below 2e-16 for
@@ -62,10 +74,10 @@ def solve_dominant_root(k: int) -> DominantRoot:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > NEWTON_MAX_K:
+        return _series_root(k)
     lo, hi = root_bracket(k)
     x = 0.5 * (lo + hi) if k <= 3 else _series_root(k)
-    if k > NEWTON_MAX_K:
-        return DominantRoot(x, lo, hi, abs(kernel_value(k, x)), "series-expansion")
     for _ in range(100):
         step = x - kernel_value(k, x) / kernel_derivative(k, x)
         if step == x:
@@ -85,7 +97,7 @@ def solve_dominant_root(k: int) -> DominantRoot:
     residual = abs(kernel_value(k, x))
     if residual > _RESIDUAL_TOL:
         raise NumericalInstabilityError(f"kernel residual {residual:.3e} at the root for k={k}")
-    return DominantRoot(x, lo, hi, residual, "bisection+newton")
+    return x
 
 
 def _log_binomial(n: int, m: int) -> float:
@@ -134,7 +146,7 @@ def prob_multiplicity_singularity(n: int, k: int, m: int) -> float:
     """
     if n < 1 or k < 1 or m < 0:
         raise ValueError("need n, k >= 1 and m >= 0")
-    return _leading_term(n, k, m, solve_dominant_root(k).value, _log_binomial(n, m))
+    return _leading_term(n, k, m, _root(k), _log_binomial(n, m))
 
 
 def _leading_term(n: int, k: int, m: int, rho: float, log_binom: float) -> float:
@@ -159,8 +171,7 @@ def expected_sizes_with_multiplicity_singularity(n: int, m: int) -> float:
     terms, peak = [], 0.0
     past_peak = math.log2(max(n, 2)) + 4
     for k in range(first, n // m + 1):
-        rho = solve_dominant_root(k).value if k <= NEWTON_MAX_K else _series_root(k)
-        value = _leading_term(n, k, m, rho, log_binom)
+        value = _leading_term(n, k, m, _root(k), log_binom)
         terms.append(value)
         peak = max(peak, value)
         # Past the peak near k = log2(n/m) successive terms shrink by at

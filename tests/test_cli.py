@@ -483,6 +483,8 @@ class TestOutputPlumbing:
             ["sample", "--n", "100", "--m", "1", "--trials", "-1"],
             ["mellin", "--n", "1e3", "--m", "1", "--precision", "4"],
             ["exact"],
+            ["rho", "--k", "3", "--bogus"],
+            ["rho", "--k", "3", "--prec", "4"],
         ]
 
         def run_all():
@@ -502,7 +504,64 @@ class TestOutputPlumbing:
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         fresh = run_all()
         assert shared == fresh
-        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2]
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 2, 0]
+
+    # main parses with the subcommand's parser alone; these argvs cover its
+    # fallback to the full parser and argparse's own messages.
+    PARSE_PATH_ARGVS = [
+        ["rho", "--k", "3", "--bogus"],
+        ["rho", "--k", "3", "--prec", "4"],
+        ["rho", "--", "--k", "3"],
+        [],
+        ["frobnicate"],
+        ["-h"],
+        ["rho", "-h"],
+        ["sample", "--n", "100", "--m", "1", "--trials", "-1"],
+        ["exact"],
+        ["rho", "--k", "3", "extra"],
+        ["--format", "json", "rho", "--k", "3"],
+        ["--k=5"],
+        ["predict", "--n", "1e6", "--m", "2", "--format", "json"],
+        ["compare", "--n", "2e4,4e4", "--m", "1"],
+    ]
+
+    @staticmethod
+    def outcome(call, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = call(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def by_full_parser(argv):
+        """The full parser's two passes, then the subcommand's function."""
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    def test_one_pass_parse_matches_the_full_parser(self, monkeypatch):
+        for fresh in (False, True):
+            if fresh:
+                monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            results = []
+            for argv in self.PARSE_PATH_ARGVS:
+                expected = self.outcome(self.by_full_parser, argv)
+                assert self.outcome(cli.main, argv) == expected, argv
+                results.append(expected)
+            assert [code for code, _, _ in results] == [2, 0, 2, 2, 2, 0, 0, 2, 2, 2, 2, 2, 0, 0]
+            assert results[5][1].startswith("usage: compana ")
+            assert results[6][1].startswith("usage: compana rho ")
+            assert results[9][2].endswith("compana: error: unrecognized arguments: extra\n")
+
+    def test_one_pass_namespace_matches_the_full_parser(self):
+        for argv in (["rho", "--k", "3", "--prec", "4"],
+                     ["predict", "--n", "1e6", "--m", "2", "--format", "json"],
+                     ["compare", "--n", "2e4,4e4", "--m", "1", "--trials", "10"]):
+            one_pass = vars(cli._parse(argv))
+            two_pass = vars(cli.build_parser().parse_args(argv))
+            assert list(one_pass.items()) == list(two_pass.items())
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -450,6 +450,28 @@ def exact_route_window_bound(n, low, high):
     return 1 - below - above
 
 
+def slope(j, bits, x, y):
+    """2^(bits j) (2 - j (y/2^bits)^(j-1) + (j+1) (x/2^bits)^j): -Q'(z) for
+    x = y = 2^bits z, a lower bound for x <= 2^bits z <= y, an upper one for
+    y <= 2^bits z <= x."""
+    return (2 << bits * j) - (j * y ** (j - 1) << bits) + (j + 1) * x**j
+
+
+def absent_interval_by_slopes(n, j, exponent):
+    """series._absent_interval with each bound on -Q' taken from its own
+    four powers, by slope()."""
+    bits = exponent + n.bit_length() + 16
+    a, b, _ = series._dominant_pole(j, bits)
+    one, shift = 1 << bits, bits * j + 1
+    power_lo = series._fixed_power((one << bits) // (2 * b), n, bits, False)
+    power_hi = series._fixed_power(-(-(one << bits) // (2 * a)), n, bits, True)
+    lo = ((one - b) << shift) * power_lo // (b * slope(j, bits, b, a))
+    hi = -(-((one - a) << shift) * power_hi // (a * slope(j, bits, a, b)))
+    rem = 1 << max(0, bits + 6 - 2 * n // 3)
+    drop = bits - exponent
+    return max(0, (lo - rem) >> drop), min(1 << exponent, -((-hi - rem) >> drop))
+
+
 class TestCertifiedWindow:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6000), st.integers(1, 60))
@@ -476,10 +498,20 @@ class TestCertifiedWindow:
         # Past 64 bits Newton starts from the bracket at half the bits; the
         # result must still be the bracket that the exact signs of Q prove.
         for j in (1, 2, 3, 5, 13, 24, 60, 200):
-            a, b = series._dominant_pole(j, bits)
+            a, b, a_low = series._dominant_pole(j, bits)
             x, y = Fraction(a, 1 << bits), Fraction(b, 1 << bits)
             assert b == a + 1
+            assert a_low == a ** (j - 1)
             assert 1 - 2 * x + x**j * (1 - x) > 0 >= 1 - 2 * y + y**j * (1 - y)
+
+    @pytest.mark.parametrize("n", [513, 1000, 1400, 2000, 10**4, 10**6, 10**9])
+    def test_interval_matches_separate_slopes(self, n):
+        # The shared powers a^(j-1), b^(j-1) must give the very integers
+        # that four separate powers give.
+        for exponent in (184, series._WINDOW_BITS + 40):
+            for j in range(1, 61):
+                assert series._absent_interval(n, j, exponent) == \
+                    absent_interval_by_slopes(n, j, exponent), (j, exponent)
 
     @pytest.mark.parametrize("n", [513, 1000, 4097, 9000])
     def test_bound_is_below_exact_route(self, n):

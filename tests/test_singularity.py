@@ -115,6 +115,24 @@ class TestDominantRoot:
         fields = (root.value, root.bracket_lo, root.bracket_hi, root.residual, root.method)
         assert fields == reference_root(k)
 
+    def test_float_root_is_the_dominant_root_value(self):
+        for k in range(1, 301):
+            assert singularity._root(k) == singularity.solve_dominant_root(k).value, k
+
+    def test_float_root_keeps_the_residual_check(self, monkeypatch, capsys):
+        # The leading-term routes take the float root; a residual above the
+        # tolerance must still stop them, and the CLI with exit code 3.
+        from compana import cli
+
+        monkeypatch.setattr(singularity, "_RESIDUAL_TOL", 0.0)
+        with pytest.raises(singularity.NumericalInstabilityError):
+            singularity.expected_sizes_with_multiplicity_singularity(10**5, 1)
+        with pytest.raises(singularity.NumericalInstabilityError):
+            singularity.prob_multiplicity_singularity(10**5, 14, 1)
+        argv = ["prob", "--n", "1e5", "--k", "14", "--m", "1", "--route", "singularity"]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL == 3
+        assert capsys.readouterr().err.startswith("numerical instability: kernel residual ")
+
     def test_k50_series_expansion(self):
         root = singularity.solve_dominant_root(50)
         assert root.method == "series-expansion"

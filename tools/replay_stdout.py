@@ -1,15 +1,15 @@
-"""Replay a benchmark workload's queries on two commits and compare stdout.
+"""Replay a benchmark workload's queries on two commits and compare output.
 
 Each commit is exported with ``bench_pairs.export`` (``git archive`` into
 ``--workdir``).  For every workload and seed, the query list of
 ``bench/workloads.py`` runs once per tree, in a fresh interpreter, through
-``compana.cli.main``; the exit code and stdout bytes of each query are
+``compana.cli.main``; the exit code, stdout and stderr of each query are
 compared in order.
 
     python3 tools/replay_stdout.py PARENT HEAD --workload distinct-window --seed 1
 
-Exits 1 at the first argv whose exit code or stdout differs, after printing
-both sides; exits 0 when every query of every list agrees.
+Exits 1 at the first argv whose exit code, stdout or stderr differs, after
+printing both sides; exits 0 when every query of every list agrees.
 """
 
 from __future__ import annotations
@@ -31,19 +31,20 @@ import workloads
 from compana import cli
 results = []
 for argv in workloads.build(sys.argv[1], int(sys.argv[2])):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:  # argparse rejects an argument
             code = exc.code
-    results.append({"argv": list(argv), "exit": code, "stdout": out.getvalue()})
+    results.append({"argv": list(argv), "exit": code, "stdout": out.getvalue(),
+                    "stderr": err.getvalue()})
 json.dump(results, sys.stdout)
 """
 
 
 def replay(tree: Path, workload: str, seed: int) -> list[dict]:
-    """Exit code and stdout of every query of one list, run in ``tree``."""
+    """Exit code, stdout and stderr of every query of one list, run in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = subprocess.run([sys.executable, "-c", REPLAY_PROBE, workload, str(seed)], cwd=tree,
                          env=env, check=True, capture_output=True, text=True).stdout
@@ -54,7 +55,7 @@ def first_difference(parent: list[dict], change: list[dict]) -> tuple[dict, dict
     for before, after in zip(parent, change, strict=True):
         if before["argv"] != after["argv"]:
             raise SystemExit(f"the query lists differ: {before['argv']} against {after['argv']}")
-        if (before["exit"], before["stdout"]) != (after["exit"], after["stdout"]):
+        if before != after:  # exit code, stdout or stderr
             return before, after
     return None
 
@@ -78,10 +79,11 @@ def main(argv: list[str] | None = None) -> int:
             if diff:
                 print(f"{workload} seed {seed}: {' '.join(diff[0]['argv'])}")
                 for short, side in zip((short_parent, short_change), diff):
-                    print(f"--- {short}: exit {side['exit']}\n{side['stdout']}", end="")
+                    print(f"--- {short}: exit {side['exit']}\n{side['stdout']}"
+                          f"--- {short}: stderr\n{side['stderr']}", end="")
                 return 1
-            print(f"{workload} seed {seed}: {len(after)} queries, exit codes and stdout "
-                  f"identical ({short_parent} against {short_change})")
+            print(f"{workload} seed {seed}: {len(after)} queries, exit codes, stdout and "
+                  f"stderr identical ({short_parent} against {short_change})")
     return 0
 
 
