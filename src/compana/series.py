@@ -419,6 +419,16 @@ def _dominant_pole(j: int, bits: int) -> tuple[int, int, int]:
     raise ArithmeticError(f"no bracket found for the pole of size {j}")
 
 
+def _slope_bounds(j: int, bits: int, a: int, b: int, a_low: int) -> tuple[int, int]:
+    """Integers lo <= 2^(bits j) (-Q'(z)) <= hi for a <= 2^bits z <= b, given
+    a_low = a^(j-1): -Q'(z) = 2 - j z^(j-1) + (j+1) z^j takes z^(j-1) at b
+    and z^j at a for lo, the other way round for hi."""
+    b_low = b ** (j - 1)
+    two = 2 << bits * j
+    return (two - (j * b_low << bits) + (j + 1) * a_low * a,
+            two - (j * a_low << bits) + (j + 1) * b_low * b)
+
+
 def _fixed_power(y: int, n: int, bits: int, up: bool) -> int:
     """y^n at scale 2^bits for y >= 0 by square-and-multiply, each step
     rounded down, or up when up is set."""
@@ -458,12 +468,7 @@ def _absent_interval(n: int, j: int, exponent: int) -> tuple[int, int]:
     # 2 A (2 rho)^-n at scale 2^bits, with 1/(2 rho) in [one^2/2b, one^2/2a).
     power_lo = _fixed_power((one << bits) // (2 * b), n, bits, False)
     power_hi = _fixed_power(-(-(one << bits) // (2 * a)), n, bits, True)
-    # -Q'(z) = 2 - j z^(j-1) + (j+1) z^j at scale 2^(bits j), bounded below
-    # over [a, b] by z^(j-1) at b and z^j at a, and above the other way round.
-    b_low = b ** (j - 1)
-    two = 2 << bits * j
-    slope_lo = two - (j * b_low << bits) + (j + 1) * a_low * a
-    slope_hi = two - (j * a_low << bits) + (j + 1) * b_low * b
+    slope_lo, slope_hi = _slope_bounds(j, bits, a, b, a_low)
     lo = ((one - b) << shift) * power_lo // (b * slope_hi)
     hi = -(-((one - a) << shift) * power_hi // (a * slope_lo))
     rem = 1 << max(0, bits + 6 - 2 * n // 3)

@@ -504,6 +504,13 @@ class TestCertifiedWindow:
             assert a_low == a ** (j - 1)
             assert 1 - 2 * x + x**j * (1 - x) > 0 >= 1 - 2 * y + y**j * (1 - y)
 
+    @pytest.mark.parametrize("bits", [16, 65, 211, 527])
+    def test_slope_bounds_match_separate_powers(self, bits):
+        for j in range(1, 61):
+            a, b, a_low = series._dominant_pole(j, bits)
+            assert series._slope_bounds(j, bits, a, b, a_low) == \
+                (slope(j, bits, a, b), slope(j, bits, b, a)), j
+
     @pytest.mark.parametrize("n", [513, 1000, 1400, 2000, 10**4, 10**6, 10**9])
     def test_interval_matches_separate_slopes(self, n):
         # The shared powers a^(j-1), b^(j-1) must give the very integers
